@@ -26,7 +26,16 @@ from .estimator import (
     confidence_upper_bound,
     relaxation_upper_bound,
 )
-from .sampling import CollectionError, RtfEngine, _run_blocks, path_rng, rtf_collect
+from .sampling import (
+    CollectionError,
+    RtfEngine,
+    _block_failure,
+    _draw_block,
+    _PathStreams,
+    _run_blocks,
+    _step_block,
+    rtf_collect,
+)
 
 __all__ = [
     "SquaredChainOracle",
@@ -146,33 +155,39 @@ class WeightedReturnAccumulator:
         return WeightedReturnAccumulator(self.scaled_counts.copy(), self.w_max, self.paths_completed)
 
 
+def _merge_weighted(accs):
+    out = accs[0].copy()
+    for acc in accs[1:]:
+        out.scaled_counts = out.scaled_counts + acc.scaled_counts
+        out.paths_completed += acc.paths_completed
+    return out
+
+
 def _weighted_block(oracle, initial, K, master_seed, start, stop, min_pmf):
     ups = getattr(oracle, "uniforms_per_step", None)
-    B = stop - start
-    acc = WeightedReturnAccumulator.empty(K, w_max=1.0 / min_pmf)
+    w_max = 1.0 / min_pmf
+    acc = WeightedReturnAccumulator.empty(K, w_max=w_max)
     if ups is not None:
-        x0 = np.empty(B, dtype=np.int64)
-        weights = np.empty(B)
-        uniforms = np.empty((B, K * ups))
-        for j in range(B):
-            rng = path_rng(master_seed, start + j)
-            x0[j] = initial.sample(rng)
-            p = initial.pmf(int(x0[j]))
-            if p <= 0.0:
-                raise CollectionError(
-                    f"sampler produced state {x0[j]} with zero pmf", partial=acc
-                )
-            weights[j] = min_pmf / p
-            uniforms[j] = rng.random(K * ups)
-        xs = x0.copy()
-        for k in range(K):
-            xs = np.asarray(oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
-            acc.scaled_counts[k] += weights @ (xs == x0)
-        acc.paths_completed = B
-        return acc
+        # All or nothing: a failure anywhere in the block commits none of its paths.
+        try:
+            x0, uniforms = _draw_block(initial, ups, K, master_seed, start, stop)
+        except Exception as exc:
+            raise _block_failure(start, stop, exc, acc) from exc
+        p = np.fromiter((initial.pmf(int(x)) for x in x0), float, len(x0))
+        if (p <= 0.0).any():
+            bad = x0[np.argmax(p <= 0.0)]
+            raise CollectionError(f"sampler produced state {bad} with zero pmf", partial=acc)
+        weights = min_pmf / p
+        try:
+            steps = _step_block(oracle, x0, uniforms, K)
+            scaled_counts = np.fromiter((weights @ (xs == x0) for xs in steps), float, K)
+        except Exception as exc:
+            raise _block_failure(start, stop, exc, acc) from exc
+        return WeightedReturnAccumulator(scaled_counts, w_max, paths_completed=stop - start)
     returns = np.empty(K, dtype=bool)
+    streams = _PathStreams(master_seed)
     for j in range(start, stop):
-        rng = path_rng(master_seed, j)
+        rng = streams(j)
         x0 = initial.sample(rng)
         p = initial.pmf(x0)
         if p <= 0.0:
@@ -210,12 +225,7 @@ def weighted_collect(
     def block_fn(start, stop):
         return _weighted_block(oracle, initial, K, master_seed, start, stop, min_pmf)
 
-    blocks = _run_blocks(cfg.num_paths, worker_count, block_fn)
-    out = blocks[0]
-    for acc in blocks[1:]:
-        out.scaled_counts = out.scaled_counts + acc.scaled_counts
-        out.paths_completed += acc.paths_completed
-    return out
+    return _run_blocks(cfg.num_paths, worker_count, block_fn, _merge_weighted)
 
 
 def finalize_weighted(

@@ -6,11 +6,15 @@ the work out to parallel workers); the single-trajectory engine extracts
 independent uniformly-started segments from one long path by regenerating
 at freshly drawn uniform target states.
 
-Randomness discipline: path j always draws from a counter-based stream
-keyed by (master_seed, j), so the collected counts are a pure function of
-(master_seed, config, chain) - independent of worker count, scheduling,
-and whether the chain is stepped scalar or vectorized.  Paths are processed
-in fixed-size blocks; workers only decide who runs which block.
+Randomness discipline: path j draws from the Philox stream with key
+(master_seed, j) starting at counter 0, so the collected counts are a pure
+function of (master_seed, config, chain) - independent of worker count,
+scheduling, and whether the chain is stepped scalar or vectorized.  Paths
+are processed in fixed-size blocks; workers only decide who runs which
+block.  Each block owns one Philox generator and resets its key and counter
+for every path instead of building a generator per path.  The ``rng``
+handed to ``InitialSampler.sample`` and ``TransitionOracle.next_state`` is
+therefore valid only while that path runs and must not be kept.
 """
 
 from __future__ import annotations
@@ -52,6 +56,37 @@ def path_rng(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _PathStreams:
+    """Path streams of one block, drawn from a single reused Philox generator.
+
+    Philox is counter-based, so a stream is a pure function of (key,
+    counter): resetting the key to (master_seed, j), the counter to 0 and
+    emptying the output buffers makes ``self(j)`` draw exactly what
+    ``path_rng(master_seed, j)`` draws.  Calling it again invalidates the
+    generator it returned before.  Build one per block, so that blocks
+    running concurrently never share a bit generator.
+    """
+
+    def __init__(self, master_seed: int):
+        self._key = np.array([master_seed % 2**64, 0], dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bit_generator = np.random.Philox(key=self._key)
+        self._rng = np.random.Generator(self._bit_generator)
+
+    def __call__(self, stream: int) -> np.random.Generator:
+        # `_state` holds `_key` itself, so this re-keys the state set below.
+        self._key[1] = stream % 2**64
+        self._bit_generator.state = self._state
+        return self._rng
+
+
 class CollectionError(RuntimeError):
     """A simulator failure mid-collection; carries the counts gathered so far.
 
@@ -80,30 +115,53 @@ class RtfEngine:
             raise ValueError("worker_count must be >= 1")
 
 
-def _collect_block_vectorized(oracle, initial, K, master_seed, start, stop):
-    ups = oracle.uniforms_per_step
-    B = stop - start
-    x0 = np.empty(B, dtype=np.int64)
-    uniforms = np.empty((B, K * ups))
-    for j in range(B):
-        rng = path_rng(master_seed, start + j)
+def _draw_block(initial, ups, K, master_seed, start, stop):
+    """Start states and per-path uniforms of paths start..stop-1, one row each."""
+    streams = _PathStreams(master_seed)
+    x0 = np.empty(stop - start, dtype=np.int64)
+    uniforms = np.empty((stop - start, K * ups))
+    for j in range(stop - start):
+        rng = streams(start + j)
         x0[j] = initial.sample(rng)
-        uniforms[j] = rng.random(K * ups)
-    counts = np.zeros(K, dtype=np.int64)
+        rng.random(out=uniforms[j])
+    return x0, uniforms
+
+
+def _step_block(oracle, x0, uniforms, K):
+    """Yield the block's states after steps 1..K of the vectorized kernel."""
+    ups = uniforms.shape[1] // K
     xs = x0.copy()
     for k in range(K):
         xs = np.asarray(oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
-        counts[k] += np.count_nonzero(xs == x0)
+        yield xs
+
+
+def _block_failure(start, stop, exc, empty):
+    """The error for a vectorized block that failed; `empty` is its (empty) partial."""
+    return CollectionError(
+        f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=empty
+    )
+
+
+def _collect_block_vectorized(oracle, initial, K, master_seed, start, stop):
+    # All or nothing: a failure anywhere in the block commits none of its paths.
+    try:
+        x0, uniforms = _draw_block(initial, oracle.uniforms_per_step, K, master_seed, start, stop)
+        steps = _step_block(oracle, x0, uniforms, K)
+        counts = np.fromiter((np.count_nonzero(xs == x0) for xs in steps), np.int64, K)
+    except Exception as exc:
+        raise _block_failure(start, stop, exc, ReturnCountAccumulator.empty(K)) from exc
     acc = ReturnCountAccumulator(counts)
-    acc.paths_completed = B
+    acc.paths_completed = stop - start
     return acc
 
 
 def _collect_block_scalar(oracle, initial, K, master_seed, start, stop):
     acc = ReturnCountAccumulator.empty(K)
     returns = np.empty(K, dtype=bool)
+    streams = _PathStreams(master_seed)
     for j in range(start, stop):
-        rng = path_rng(master_seed, j)
+        rng = streams(j)
         x0 = initial.sample(rng)
         x = x0
         try:
@@ -124,28 +182,26 @@ def _block_ranges(num_paths: int):
     return [(s, min(s + BLOCK_SIZE, num_paths)) for s in range(0, num_paths, BLOCK_SIZE)]
 
 
-def _run_blocks(num_paths: int, worker_count: int, block_fn: Callable):
-    """Run `block_fn(start, stop)` over fixed blocks, merging in block order."""
+def _run_blocks(num_paths: int, worker_count: int, block_fn: Callable, merge: Callable):
+    """Run `block_fn(start, stop)` over fixed blocks and `merge` them in block order.
+
+    On a `CollectionError` the error is re-raised with `partial` holding the
+    merge of every block before the failing one plus that block's partial.
+    """
     ranges = _block_ranges(num_paths)
-    if worker_count == 1 or len(ranges) == 1:
-        results = []
-        try:
+    results = []
+    try:
+        if worker_count == 1 or len(ranges) == 1:
             for start, stop in ranges:
                 results.append(block_fn(start, stop))
-        except CollectionError as exc:
-            merged = _merge_ordered(results + [exc.partial])
-            raise CollectionError(str(exc), partial=merged) from exc.__cause__
-        return results
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        futures = [pool.submit(block_fn, start, stop) for start, stop in ranges]
-        results = []
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except CollectionError as exc:
-                merged = _merge_ordered(results + [exc.partial])
-                raise CollectionError(str(exc), partial=merged) from exc.__cause__
-        return results
+        else:
+            with ThreadPoolExecutor(max_workers=worker_count) as pool:
+                futures = [pool.submit(block_fn, start, stop) for start, stop in ranges]
+                for fut in futures:
+                    results.append(fut.result())
+    except CollectionError as exc:
+        raise CollectionError(str(exc), partial=merge(results + [exc.partial])) from exc.__cause__
+    return merge(results)
 
 
 def _merge_ordered(accs):
@@ -179,7 +235,7 @@ def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
             return _collect_block_scalar(
                 engine.oracle, engine.initial, cfg.max_path_length, engine.master_seed, start, stop
             )
-    return _merge_ordered(_run_blocks(cfg.num_paths, engine.worker_count, block_fn))
+    return _run_blocks(cfg.num_paths, engine.worker_count, block_fn, _merge_ordered)
 
 
 def merge_accumulators(accumulators: Iterable[ReturnCountAccumulator]) -> ReturnCountAccumulator:

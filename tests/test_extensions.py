@@ -13,7 +13,7 @@ from specgap.extensions import (
     finalize_weighted,
     weighted_collect,
 )
-from specgap.sampling import CollectionError, RtfEngine, rtf_collect
+from specgap.sampling import BLOCK_SIZE, CollectionError, RtfEngine, rtf_collect
 
 FLIP_HEAVY = DenseMatrixChain([[0.1, 0.9], [0.9, 0.1]])  # eigenvalues 1, -0.8
 TWO_STATE = DenseMatrixChain([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1, 0.5
@@ -222,6 +222,59 @@ def test_weighted_rejects_zero_pmf_draws():
     cfg = UcpiConfig(2, 10, 2, 0.1)
     with pytest.raises(CollectionError, match="zero pmf"):
         weighted_collect(TWO_STATE, LyingSampler(), cfg, master_seed=0)
+
+
+def odd_heavy(size):
+    weights = np.where(np.arange(size) % 2 == 1, 2.0, 1.0)
+    return TabularSampler(weights / weights.sum())
+
+
+def test_weighted_scalar_failure_after_first_block_keeps_partial_sums():
+    class FailsAfterCalls(CallCounter):
+        def __init__(self, inner, limit):
+            super().__init__(inner)
+            self.limit = limit
+
+        def next_state(self, x, rng):
+            if self.calls >= self.limit:
+                raise RuntimeError("transition backend went away")
+            return super().next_state(x, rng)
+
+    chain, K = BiasedLineChain(20, 0.7), 5
+    oracle = FailsAfterCalls(chain, limit=1500 * K)  # dies on path 1500 of 3000
+    with pytest.raises(CollectionError) as exc_info:
+        weighted_collect(oracle, odd_heavy(20), UcpiConfig(20, 3000, K, 0.1), master_seed=2)
+    partial = exc_info.value.partial
+    assert isinstance(partial, WeightedReturnAccumulator)
+    assert partial.paths_completed == 1500
+    assert isinstance(exc_info.value.__cause__, RuntimeError)
+    clean = weighted_collect(
+        CallCounter(chain), odd_heavy(20), UcpiConfig(20, 1500, K, 0.1), master_seed=2
+    )
+    assert np.array_equal(partial.scaled_counts, clean.scaled_counts)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weighted_vectorized_kernel_failure_keeps_completed_blocks(workers):
+    class KernelFailsOnShortBlock:
+        uniforms_per_step = 1
+
+        def state_space_size(self):
+            return 20
+
+        def step_with_uniforms(self, xs, us):
+            if len(xs) < BLOCK_SIZE:
+                raise RuntimeError("kernel boom")
+            return BiasedLineChain(20, 0.7).step_with_uniforms(xs, us)
+
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # blocks of 1024, 1024 and 952 paths
+    with pytest.raises(CollectionError) as exc_info:
+        weighted_collect(KernelFailsOnShortBlock(), odd_heavy(20), cfg, 3, worker_count=workers)
+    partial = exc_info.value.partial
+    assert partial.paths_completed % BLOCK_SIZE == 0
+    assert partial.paths_completed == 2 * BLOCK_SIZE
+    assert np.all(partial.scaled_counts <= partial.paths_completed)
+    assert str(exc_info.value.__cause__) == "kernel boom"
 
 
 def test_finalize_weighted_validation():

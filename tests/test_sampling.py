@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from specgap.chains import BiasedLineChain, DenseMatrixChain, UniformSampler
+from specgap.chains import BiasedLineChain, DenseMatrixChain, TabularSampler, UniformSampler
 from specgap.estimator import ReturnCountAccumulator, UcpiConfig, finalize_estimate
 from specgap.sampling import (
     BLOCK_SIZE,
     CollectionError,
     RtfEngine,
     UspEngine,
+    _PathStreams,
     merge_accumulators,
+    path_rng,
     rtf_collect,
     states_from_file,
     trajectory_from_oracle,
@@ -58,6 +60,44 @@ class FixedTargets:
 
     def min_pmf(self):
         return 0.0
+
+
+class KernelFailsOnShortBlock:
+    """Vectorized chain whose kernel raises on a block shorter than BLOCK_SIZE."""
+
+    uniforms_per_step = 1
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def state_space_size(self):
+        return self.inner.state_space_size()
+
+    def step_with_uniforms(self, xs, us):
+        if len(xs) < BLOCK_SIZE:
+            raise RuntimeError("kernel boom")
+        return self.inner.step_with_uniforms(xs, us)
+
+
+class SamplerFailsAfter:
+    """Uniform sampler that raises once it has drawn `limit` starts."""
+
+    def __init__(self, size, limit):
+        self.inner = UniformSampler(size)
+        self.limit = limit
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        if self.draws > self.limit:
+            raise RuntimeError("sampler boom")
+        return self.inner.sample(rng)
+
+    def pmf(self, x):
+        return self.inner.pmf(x)
+
+    def min_pmf(self):
+        return self.inner.min_pmf()
 
 
 def make_engine(chain, cfg, seed, workers=1):
@@ -146,6 +186,70 @@ def test_partial_counts_preserved_on_oracle_failure():
     assert partial.paths_completed == 7
     assert partial.counts.max() <= 7  # the torn path was never committed
     assert isinstance(exc_info.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_vectorized_kernel_failure_keeps_completed_blocks(workers):
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # blocks of 1024, 1024 and 952 paths
+    with pytest.raises(CollectionError) as exc_info:
+        rtf_collect(make_engine(KernelFailsOnShortBlock(chain), cfg, 5, workers=workers))
+    partial = exc_info.value.partial
+    assert partial.paths_completed == 2 * BLOCK_SIZE
+    assert np.all(partial.counts <= partial.paths_completed)
+    assert isinstance(exc_info.value.__cause__, RuntimeError)
+    assert str(exc_info.value.__cause__) == "kernel boom"
+    # the completed blocks are exactly a clean run over the same paths
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 2 * BLOCK_SIZE, 5, 0.1), 5))
+    assert np.array_equal(partial.counts, clean.counts)
+
+
+def test_vectorized_sampler_failure_commits_whole_blocks_only():
+    cfg = UcpiConfig(20, 3000, 5, 0.1)
+    sampler = SamplerFailsAfter(20, limit=1500)  # dies inside the second block
+    with pytest.raises(CollectionError) as exc_info:
+        rtf_collect(RtfEngine(BiasedLineChain(20, 0.7), sampler, cfg, 5))
+    partial = exc_info.value.partial
+    assert partial.paths_completed % BLOCK_SIZE == 0
+    assert partial.paths_completed == BLOCK_SIZE
+    assert np.all(partial.counts <= partial.paths_completed)
+    assert str(exc_info.value.__cause__) == "sampler boom"
+
+
+# ---------------------------------------------------------------------------
+# path streams
+# ---------------------------------------------------------------------------
+
+
+def draw_like_a_path(rng):
+    return (
+        UniformSampler(20).sample(rng),
+        rng.random(7).tolist(),
+        TabularSampler([0.2, 0.3, 0.5]).sample(rng),
+        rng.random(261).tolist(),
+        rng.integers(2**40, size=3).tolist(),
+    )
+
+
+LEFTOVER_STATES = {
+    # each leaves the generator mid-buffer, which a reset must discard
+    "uniform-sampler": (lambda rng: UniformSampler(20).sample(rng), {"has_uint32": 1}),
+    "tabular-sampler": (lambda rng: TabularSampler([0.2, 0.3, 0.5]).sample(rng), {"buffer_pos": 1}),
+    "odd-random": (lambda rng: rng.random(7), {"buffer_pos": 3}),
+}
+
+
+@pytest.mark.parametrize("master_seed", [0, 9, 2**64 + 5, -3])
+@pytest.mark.parametrize("leftover", sorted(LEFTOVER_STATES))
+def test_reset_stream_draws_exactly_what_path_rng_draws(master_seed, leftover):
+    disturb, expected_state = LEFTOVER_STATES[leftover]
+    streams = _PathStreams(master_seed)
+    for j in (0, 1023, 1024, 2**64 - 1):
+        rng = streams(777)
+        disturb(rng)
+        state = rng.bit_generator.state
+        assert {name: state[name] for name in expected_state} == expected_state
+        assert draw_like_a_path(streams(j)) == draw_like_a_path(path_rng(master_seed, j))
 
 
 # ---------------------------------------------------------------------------
