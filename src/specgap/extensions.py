@@ -188,12 +188,11 @@ def _weighted_block(oracle, initial, K, master_seed, start, stop, min_pmf):
     streams = _PathStreams(master_seed)
     for j in range(start, stop):
         rng = streams(j)
-        x0 = initial.sample(rng)
-        p = initial.pmf(x0)
-        if p <= 0.0:
-            raise CollectionError(f"sampler produced state {x0} with zero pmf", partial=acc)
-        x = x0
         try:
+            x = x0 = initial.sample(rng)
+            p = initial.pmf(x0)
+            if p <= 0.0:
+                raise ValueError(f"sampler produced state {x0} with zero pmf")
             for k in range(K):
                 x = oracle.next_state(x, rng)
                 returns[k] = x == x0

@@ -20,6 +20,7 @@ therefore valid only while that path runs and must not be kept.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -39,6 +40,7 @@ __all__ = [
     "merge_accumulators",
     "trajectory_from_oracle",
     "states_from_file",
+    "TraceFile",
 ]
 
 #: Paths per scheduling block.  Fixed (not a tuning knob) so that results
@@ -48,6 +50,14 @@ BLOCK_SIZE = 1024
 #: Stream keys reserved for non-path randomness (path keys are 0..I-1).
 TARGET_STREAM_KEY = 2**64 - 1
 TRAJECTORY_STREAM_KEY = 2**64 - 2
+
+#: States per chunk of a single-trajectory source: an iterable source is
+#: read CHUNK states at a time, and a trace file 2 * CHUNK bytes at a time,
+#: which is CHUNK lines of one-digit states.  Fixed, so that memory does
+#: not depend on the trajectory.
+CHUNK = 1024
+
+_INT64_MAX = 2**63 - 1
 
 
 def path_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -162,9 +172,8 @@ def _collect_block_scalar(oracle, initial, K, master_seed, start, stop):
     streams = _PathStreams(master_seed)
     for j in range(start, stop):
         rng = streams(j)
-        x0 = initial.sample(rng)
-        x = x0
         try:
+            x = x0 = initial.sample(rng)
             for k in range(K):
                 x = oracle.next_state(x, rng)
                 returns[k] = x == x0
@@ -280,8 +289,12 @@ class UspEngine:
     """Segment-extraction plan over a single source trajectory.
 
     ``source`` yields successive states X_0, X_1, ...; ``target_sampler``
-    draws the i.i.d. uniform regeneration targets.  Each source element is
-    inspected exactly once and nothing beyond O(K) counters is retained.
+    draws the i.i.d. uniform regeneration targets.  ``usp_collect`` reads
+    the source as int64 chunks: a source with a ``chunks()`` method (such
+    as ``states_from_file``) hands them over itself, and any other iterable
+    is read ``CHUNK`` states at a time, so up to ``CHUNK - 1`` states past
+    the last one used may be drawn from it.  Each state is inspected once,
+    and memory stays O(CHUNK + K) however long the trajectory.
     """
 
     source: Iterable[int]
@@ -296,6 +309,20 @@ class UspEngine:
             raise ValueError("segment_length must be >= 1")
 
 
+def _int64_chunks(source) -> Iterator[np.ndarray]:
+    """The source's states as int64 arrays: its own chunks, or ``CHUNK`` at a time."""
+    chunks = getattr(source, "chunks", None)
+    if chunks is not None:
+        yield from chunks()
+        return
+    it = iter(source)
+    while True:
+        chunk = np.fromiter(itertools.islice(it, CHUNK), np.int64)
+        if not chunk.size:
+            return
+        yield chunk
+
+
 def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     """Extract up to ``num_segments`` uniformly-started segments, counting returns.
 
@@ -305,6 +332,15 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     i.i.d. length-K paths with uniform starts.  Source exhaustion is a
     normal partial result: the accumulator reports however many segments
     completed and ``engine.stats.exhausted`` is set.
+
+    The source is read in int64 chunks in O(CHUNK + K) memory; an iterable
+    without ``chunks()`` may be read up to ``CHUNK - 1`` states past the
+    last one used (see ``UspEngine``).  Each start is found by one
+    vectorized search of the chunk for the target, and a segment's K return
+    indicators ``x[t+1:t+K+1] == x[t]`` are compared in one operation; a
+    segment that runs past the end of a chunk is finished in the next.
+    ``stats.source_steps_consumed`` counts the states up to the last one
+    used, not those read ahead.
     """
     if num_segments < 1:
         raise ValueError("num_segments must be >= 1")
@@ -315,35 +351,50 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
 
     target = engine.target_sampler.sample(rng)
     boundary = 0  # previous segment start + K; next start must satisfy t > boundary
-    start_state = -1
-    within = 0
-    filling = False
+    start_state = None  # start of the segment being filled; None while searching
+    filled = 0  # steps of that segment seen so far
     returns = np.empty(K, dtype=bool)
+    offset = 0  # source index of the current chunk's first state
 
-    for t, x in enumerate(engine.source):
-        stats.source_steps_consumed = t + 1
-        if filling:
-            within += 1
-            returns[within - 1] = x == start_state
-            if within == K:
+    for x in _int64_chunks(engine.source):
+        n = len(x)
+        i = 0  # next position of x to read while filling
+        while True:
+            if start_state is not None:
+                take = min(K - filled, n - i)
+                np.equal(x[i : i + take], start_state, out=returns[filled : filled + take])
+                filled += take
+                i += take
+                if filled < K:
+                    break
                 acc.counts += returns
                 acc.paths_completed += 1
                 stats.segments_emitted += 1
                 if engine.on_segment is not None:
                     engine.on_segment(start_state)
                 if acc.paths_completed == num_segments:
+                    stats.source_steps_consumed = offset + i
                     return acc
-                filling = False
+                start_state = None
                 target = engine.target_sampler.sample(rng)
-        elif t > boundary and x == target:
-            wait = t - boundary
+            lo = max(0, boundary + 1 - offset)
+            if lo >= n:
+                break
+            hits = x[lo:] == target
+            j = lo + int(hits.argmax())
+            if not hits[j - lo]:
+                break
+            wait = offset + j - boundary
             stats.total_wait += wait
             stats.max_wait = max(stats.max_wait, wait)
-            start_state = x
-            boundary = t + K
-            within = 0
-            filling = True
+            start_state = int(x[j])
+            boundary = offset + j + K
+            filled = 0
+            i = j + 1
+        offset += n
+        x = hits = None  # not held while the next chunk is read
 
+    stats.source_steps_consumed = offset
     stats.exhausted = True
     return acc
 
@@ -363,11 +414,93 @@ def trajectory_from_oracle(
         yield x
 
 
-def states_from_file(path, max_steps: int | None = None) -> Iterator[int]:
-    """Stream 0-based state indices from a newline-separated file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        sliced = fh if max_steps is None else itertools.islice(fh, max_steps)
-        for line in sliced:
-            line = line.strip()
-            if line:
-                yield int(line)
+class TraceFile:
+    """A trajectory file read in chunks: one base-10 state per line.
+
+    A line holds one non-negative integer that fits in int64, with optional
+    spaces and tabs around it; lines end in LF or CRLF, and blank lines are
+    skipped.  Any other line raises ``ValueError`` naming its 1-based
+    number, as does a line longer than ``2 * CHUNK`` bytes.  At most
+    ``max_steps`` states are read, and lines after the last of them are
+    not checked.  ``chunks()`` reads the file ``2 * CHUNK`` bytes at a time and
+    yields the states of each read's whole lines as one int64 array;
+    iterating yields them as ints.  Each iteration reopens the file.
+    """
+
+    def __init__(self, path, max_steps: int | None = None):
+        if max_steps is not None and max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
+        self.path = path
+        self.max_steps = max_steps
+
+    def __iter__(self) -> Iterator[int]:
+        for chunk in self.chunks():
+            yield from chunk.tolist()
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        left = math.inf if self.max_steps is None else self.max_steps
+        line = 1  # number of the first line in `block`
+        pending = b""  # the unfinished last line of the previous read
+        with open(self.path, "rb", buffering=0) as fh:
+            while left > 0:
+                data = fh.read(2 * CHUNK)
+                block = pending + data
+                end = block.rfind(b"\n") + 1 if data else len(block)
+                states = _parse_lines(block, end, line, left)
+                if states.size:
+                    left -= states.size
+                    yield states
+                    states = None  # not held while the next read is parsed
+                if not data:
+                    return
+                line += block.count(b"\n", 0, end)
+                pending = block[end:]
+                if len(pending) > 2 * CHUNK:
+                    raise ValueError(f"line {line}: longer than {2 * CHUNK} bytes")
+
+
+def _parse_lines(data: bytes, end: int, first_line: int, limit) -> np.ndarray:
+    """The first ``limit`` states on the whole lines ``data[:end]``, as int64.
+
+    Lines of digits alone go to one ``np.fromstring`` call; a chunk with
+    anything else (spaces, blank lines, a value that may not fit in int64,
+    a bad line) is parsed line by line in Python instead.
+    """
+    if b"\r" in data:
+        data = data[:end].replace(b"\r\n", b"\n")
+        end = len(data)
+    blank = data.startswith(b"\n") or data.find(b"\n\n", 0, end) >= 0
+    if end and not blank and not data.translate(None, b"0123456789\n"):
+        lines = data.count(b"\n", 0, end) + (data[end - 1] != ord("\n"))
+        states = np.fromstring(data, np.int64, count=min(lines, limit), sep="\n")
+        if states.max() < _INT64_MAX:  # an overflowing line parses as _INT64_MAX
+            return states
+    return _scan_lines(data[:end], first_line, limit)
+
+
+def _scan_lines(text: bytes, first_line: int, limit) -> np.ndarray:
+    """``_parse_lines`` one line at a time; raises on the first bad line."""
+    states = []
+    for number, line in enumerate(text.split(b"\n"), first_line):
+        if len(states) == limit:
+            break
+        value = line.strip(b" \t\r")
+        if not value:
+            continue
+        if not value.isdigit():
+            fields = value.split()
+            if len(fields) > 1:
+                raise ValueError(f"line {number}: {len(fields)} values, expected one state")
+            if value[:1] == b"-" and value[1:].isdigit():
+                raise ValueError(f"line {number}: negative state {value.decode()}")
+            raise ValueError(f"line {number}: not a base-10 integer: {value!r}")
+        state = int(value)
+        if state > _INT64_MAX:
+            raise ValueError(f"line {number}: state {state} does not fit in int64")
+        states.append(state)
+    return np.array(states, dtype=np.int64)
+
+
+def states_from_file(path, max_steps: int | None = None) -> TraceFile:
+    """The 0-based states of a trajectory file, one per line (see ``TraceFile``)."""
+    return TraceFile(path, max_steps)

@@ -20,7 +20,14 @@ from specgap.chains import (
 )
 from specgap.estimator import UcpiConfig
 from specgap.extensions import estimate_nonlazy, weighted_collect
-from specgap.sampling import RtfEngine, rtf_collect
+from specgap.sampling import (
+    RtfEngine,
+    UspEngine,
+    rtf_collect,
+    states_from_file,
+    trajectory_from_oracle,
+    usp_collect,
+)
 
 PATHS = 2100  # three blocks, the last one partial
 LENGTH = 30
@@ -98,3 +105,42 @@ CASES = {
 def test_counts_fingerprint_is_pinned(name):
     collect, expected = CASES[name]
     assert sha256(collect()) == expected
+
+
+# Single-trajectory extraction: counts, every UspStats field and the
+# on_segment sequence, recorded before extraction moved to int64 chunks.
+WALK = BiasedLineChain(8, 0.5)
+USP_LENGTH = 12
+
+
+def usp_fingerprint(source, num_segments):
+    starts = []
+    engine = UspEngine(source, USP_LENGTH, UniformSampler(8), SEED, on_segment=starts.append)
+    acc = usp_collect(engine, num_segments)
+    s = engine.stats
+    stats = (s.segments_emitted, s.source_steps_consumed, s.total_wait, s.max_wait, s.exhausted)
+    return sha256(acc.counts), acc.paths_completed, stats, sha256(starts)
+
+
+def test_usp_file_fingerprint_is_pinned(tmp_path):
+    # A 40,000-state file cut to 30,000 by max_steps; the source runs out.
+    path = tmp_path / "trace.txt"
+    states = trajectory_from_oracle(WALK, 3, master_seed=1, max_steps=40_000)
+    path.write_text("\n".join(map(str, states)) + "\n")
+    assert usp_fingerprint(states_from_file(path, max_steps=30_000), 2100) == (
+        "1621af39e808a5ced64f51f4007e0c9035ec7753136dd968c4f43314f02ad889",
+        546,
+        (546, 30_000, 23_438, 574, True),
+        "ee01f6ff60706bd41c93d55c337d17c174c73e485989a70bff8724b5e8b991e8",
+    )
+
+
+def test_usp_oracle_fingerprint_is_pinned():
+    # Stops at the requested segment count, before the source runs out.
+    source = trajectory_from_oracle(WALK, 0, master_seed=2, max_steps=60_000)
+    assert usp_fingerprint(source, 800) == (
+        "3fab6b136a3534b20fd6d5fecc3f6ac3453aaed5a66475fbbdb9fbca324b0618",
+        800,
+        (800, 45_321, 35_720, 621, False),
+        "0d0c4501ad60e7302936c4f3a491d9998cfeab0de4ac31ff179ddcad7e33849e",
+    )

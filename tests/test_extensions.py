@@ -277,6 +277,43 @@ def test_weighted_vectorized_kernel_failure_keeps_completed_blocks(workers):
     assert str(exc_info.value.__cause__) == "kernel boom"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weighted_scalar_sampler_failure_raises_collection_error(workers):
+    class FailsAfterDraws:
+        def __init__(self, inner, limit):
+            self.inner, self.limit, self.draws = inner, limit, 0
+
+        def sample(self, rng):
+            self.draws += 1
+            if self.draws > self.limit:
+                raise RuntimeError("sampler boom")
+            return self.inner.sample(rng)
+
+        def pmf(self, x):
+            return self.inner.pmf(x)
+
+        def min_pmf(self):
+            return self.inner.min_pmf()
+
+    chain, K = BiasedLineChain(20, 0.7), 5
+    sampler = FailsAfterDraws(odd_heavy(20), limit=1500)
+    with pytest.raises(CollectionError) as exc_info:
+        weighted_collect(
+            CallCounter(chain), sampler, UcpiConfig(20, 3000, K, 0.1), 2, worker_count=workers
+        )
+    partial = exc_info.value.partial
+    assert isinstance(partial, WeightedReturnAccumulator)
+    assert str(exc_info.value.__cause__) == "sampler boom"
+    if workers == 1:
+        assert partial.paths_completed == 1500
+    # Threads interleave their draws, but what completed is still a prefix of the paths.
+    assert 0 < partial.paths_completed < 3000
+    clean = weighted_collect(
+        CallCounter(chain), odd_heavy(20), UcpiConfig(20, partial.paths_completed, K, 0.1), 2
+    )
+    assert np.array_equal(partial.scaled_counts, clean.scaled_counts)
+
+
 def test_finalize_weighted_validation():
     cfg = UcpiConfig(2, 10, 3, 0.1)
     acc = WeightedReturnAccumulator.empty(3, w_max=2.0)

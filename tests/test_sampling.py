@@ -216,6 +216,23 @@ def test_vectorized_sampler_failure_commits_whole_blocks_only():
     assert str(exc_info.value.__cause__) == "sampler boom"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scalar_sampler_failure_raises_collection_error(workers):
+    chain, K = BiasedLineChain(20, 0.7), 5
+    sampler = SamplerFailsAfter(20, limit=1500)  # dies on the 1,501st start drawn
+    with pytest.raises(CollectionError) as exc_info:
+        rtf_collect(RtfEngine(ScalarOnly(chain), sampler, UcpiConfig(20, 3000, K, 0.1), 5, workers))
+    partial = exc_info.value.partial
+    assert str(exc_info.value.__cause__) == "sampler boom"
+    if workers == 1:
+        assert partial.paths_completed == 1500
+    # Threads interleave their draws, but what completed is still a prefix of the paths.
+    assert 0 < partial.paths_completed < 3000
+    assert np.all(partial.counts <= partial.paths_completed)
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, partial.paths_completed, K, 0.1), 5))
+    assert np.array_equal(partial.counts, clean.counts)
+
+
 # ---------------------------------------------------------------------------
 # path streams
 # ---------------------------------------------------------------------------

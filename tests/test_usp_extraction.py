@@ -1,0 +1,317 @@
+"""Chunked single-trajectory extraction against the per-state reference loop.
+
+``reference_usp_collect`` is the original extraction: it walks the source
+one state at a time.  ``usp_collect`` reads the source in int64 chunks
+and must match it exactly: counts, every ``UspStats`` field, the
+``on_segment`` sequence and the target draws.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specgap.chains import UniformSampler
+from specgap.estimator import ReturnCountAccumulator
+from specgap.sampling import (
+    CHUNK,
+    TARGET_STREAM_KEY,
+    TraceFile,
+    UspEngine,
+    path_rng,
+    states_from_file,
+    usp_collect,
+)
+
+
+def reference_usp_collect(engine, num_segments):
+    """Extract segments one source state at a time (the reference)."""
+    if num_segments < 1:
+        raise ValueError("num_segments must be >= 1")
+    K = engine.segment_length
+    acc = ReturnCountAccumulator.empty(K)
+    stats = engine.stats
+    rng = path_rng(engine.master_seed, TARGET_STREAM_KEY)
+
+    target = engine.target_sampler.sample(rng)
+    boundary = 0  # previous segment start + K; next start must satisfy t > boundary
+    start_state = -1
+    within = 0
+    filling = False
+    returns = np.empty(K, dtype=bool)
+
+    for t, x in enumerate(engine.source):
+        stats.source_steps_consumed = t + 1
+        if filling:
+            within += 1
+            returns[within - 1] = x == start_state
+            if within == K:
+                acc.counts += returns
+                acc.paths_completed += 1
+                stats.segments_emitted += 1
+                if engine.on_segment is not None:
+                    engine.on_segment(start_state)
+                if acc.paths_completed == num_segments:
+                    return acc
+                filling = False
+                target = engine.target_sampler.sample(rng)
+        elif t > boundary and x == target:
+            wait = t - boundary
+            stats.total_wait += wait
+            stats.max_wait = max(stats.max_wait, wait)
+            start_state = x
+            boundary = t + K
+            within = 0
+            filling = True
+
+    stats.exhausted = True
+    return acc
+
+
+class FixedTargets:
+    """Deterministic target sequence standing in for the uniform sampler."""
+
+    def __init__(self, targets):
+        self.targets = iter(targets)
+
+    def sample(self, rng):
+        return next(self.targets)
+
+    def pmf(self, x):
+        return 0.0
+
+
+def extract(collect, source, K, sampler, num_segments, seed=0):
+    """(counts, paths, stats fields, on_segment list) of one extraction."""
+    starts = []
+    engine = UspEngine(source, K, sampler, seed, on_segment=starts.append)
+    acc = collect(engine, num_segments)
+    s = engine.stats
+    stats = (s.segments_emitted, s.source_steps_consumed, s.total_wait, s.max_wait, s.exhausted)
+    return acc.counts.tolist(), acc.paths_completed, stats, starts
+
+
+def write_trace(path, states, newline="\n", last_newline=True):
+    text = newline.join(str(x) for x in states)
+    path.write_bytes((text + (newline if last_newline and states else "")).encode())
+    return path
+
+
+def assert_matches_reference(states, K, make_sampler, num_segments, tmp_path, seed=0):
+    expected = extract(reference_usp_collect, list(states), K, make_sampler(), num_segments, seed)
+    from_list = extract(usp_collect, list(states), K, make_sampler(), num_segments, seed)
+    from_iter = extract(usp_collect, iter(list(states)), K, make_sampler(), num_segments, seed)
+    trace = write_trace(tmp_path / "trace.txt", list(states))
+    from_file = extract(usp_collect, states_from_file(trace), K, make_sampler(), num_segments, seed)
+    assert from_list == expected
+    assert from_iter == expected
+    assert from_file == expected
+    return expected
+
+
+# ---------------------------------------------------------------------------
+# property: any source, segment length and request
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def usp_cases(draw):
+    size = draw(st.integers(1, 4))
+    K = draw(st.one_of(st.integers(1, 12), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])))
+    length = draw(st.one_of(st.integers(0, 60), st.integers(CHUNK - 2, 3 * CHUNK + 2)))
+    source_seed = draw(st.integers(0, 2**32 - 1))
+    sticky = draw(st.booleans())
+    rng = np.random.default_rng(source_seed)
+    if sticky:  # long runs of one state, so that returns are common
+        states = np.cumsum(rng.random(length) < 0.1) % size
+    else:
+        states = rng.integers(0, size, size=length)
+    return {
+        "states": states.tolist(),
+        "size": size,
+        "K": K,
+        "num_segments": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "newline": draw(st.sampled_from(["\n", "\r\n"])),
+        "last_newline": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(usp_cases())
+def test_chunked_extraction_matches_reference(tmp_path_factory, case):
+    states, K, size, wanted, seed = (
+        case["states"], case["K"], case["size"], case["num_segments"], case["seed"]
+    )
+    expected = extract(reference_usp_collect, states, K, UniformSampler(size), wanted, seed)
+    assert extract(usp_collect, states, K, UniformSampler(size), wanted, seed) == expected
+    assert extract(usp_collect, iter(states), K, UniformSampler(size), wanted, seed) == expected
+    path = write_trace(
+        tmp_path_factory.mktemp("trace") / "trace.txt", states, case["newline"], case["last_newline"]
+    )
+    trace = states_from_file(path)
+    assert extract(usp_collect, trace, K, UniformSampler(size), wanted, seed) == expected
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries
+# ---------------------------------------------------------------------------
+
+
+def test_start_on_last_state_of_a_chunk(tmp_path):
+    # the first segment starts at t = CHUNK - 1 and is filled from the next chunk
+    states = [1] * (CHUNK - 1) + [0] * 40
+    counts, paths, stats, starts = assert_matches_reference(
+        states, 5, lambda: FixedTargets([0, 0]), 1, tmp_path
+    )
+    assert paths == 1 and starts == [0]
+    assert stats == (1, CHUNK + 5, CHUNK - 1, CHUNK - 1, False)
+    assert counts == [1] * 5
+
+
+@pytest.mark.parametrize("K", [CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_segments_at_least_a_chunk_long(tmp_path, K):
+    rng = np.random.default_rng(K)
+    states = (np.cumsum(rng.random(4 * CHUNK + 11) < 0.05) % 3).tolist()
+    counts, paths, stats, _ = assert_matches_reference(
+        states, K, lambda: UniformSampler(3), 10, tmp_path, seed=4
+    )
+    assert paths >= 1
+
+
+def test_exhaustion_in_the_middle_of_a_segment(tmp_path):
+    # the second segment starts at t = CHUNK + 3, two states before the source ends
+    states = [0] * (CHUNK + 6)
+    counts, paths, stats, starts = assert_matches_reference(
+        states, CHUNK + 1, lambda: FixedTargets([0, 0, 0]), 5, tmp_path
+    )
+    assert paths == 1
+    assert stats == (1, CHUNK + 6, 2, 1, True)
+
+
+def test_early_stop_exactly_at_a_chunk_end(tmp_path):
+    # the last requested segment ends on state CHUNK - 1: nothing past the chunk is used
+    K = 10
+    start = CHUNK - 1 - K
+    states = [1] * start + [0] * (K + 1) + [1] * (2 * CHUNK)
+    counts, paths, stats, _ = assert_matches_reference(
+        states, K, lambda: FixedTargets([0]), 1, tmp_path
+    )
+    assert stats == (1, CHUNK, start, start, False)
+
+    drawn = []
+
+    def counted():
+        for x in states:
+            drawn.append(x)
+            yield x
+
+    usp_collect(UspEngine(counted(), K, FixedTargets([0]), 0), 1)
+    assert len(drawn) == CHUNK  # the adapter read exactly one chunk
+
+
+def test_file_and_in_memory_sources_agree_on_a_long_trace(tmp_path):
+    rng = np.random.default_rng(8)
+    steps = rng.choice([-1, 0, 0, 1], size=20 * CHUNK)
+    states = (np.cumsum(steps) % 12).tolist()  # one- and two-digit lines
+    assert_matches_reference(states, 30, lambda: UniformSampler(12), 400, tmp_path, seed=3)
+    assert_matches_reference(states, 30, lambda: UniformSampler(12), 10**6, tmp_path, seed=3)
+
+
+def test_target_draws_follow_the_reference(tmp_path):
+    class Recording(UniformSampler):
+        def __init__(self, size, log):
+            super().__init__(size)
+            self.log = log
+
+        def sample(self, rng):
+            x = super().sample(rng)
+            self.log.append(x)
+            return x
+
+    rng = np.random.default_rng(2)
+    states = rng.integers(0, 4, size=3 * CHUNK).tolist()
+    logs = {}
+    for name, collect, source in [
+        ("reference", reference_usp_collect, states),
+        ("list", usp_collect, states),
+        ("file", usp_collect, states_from_file(write_trace(tmp_path / "t.txt", states))),
+    ]:
+        logs[name] = []
+        extract(collect, source, 7, Recording(4, logs[name]), 50, seed=9)
+    assert logs["list"] == logs["reference"] == logs["file"]
+    assert len(logs["reference"]) == 50
+
+
+# ---------------------------------------------------------------------------
+# the trace file reader
+# ---------------------------------------------------------------------------
+
+
+def read(path, max_steps=None):
+    return list(states_from_file(path, max_steps))
+
+
+def test_reader_accepts_whitespace_crlf_blank_lines_and_no_final_newline(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\n 3 \r\n\t12\n\n\r\n0007\n9223372036854775807\n5")
+    assert read(path) == [3, 12, 7, 2**63 - 1, 5]
+
+
+def test_reader_yields_ints_and_int64_chunks(tmp_path):
+    path = write_trace(tmp_path / "t.txt", [i % 10 for i in range(3 * CHUNK + 5)])
+    assert all(type(x) is int for x in read(path))
+    chunks = list(TraceFile(path).chunks())
+    assert [len(c) for c in chunks] == [CHUNK, CHUNK, CHUNK, 5]
+    assert all(c.dtype == np.int64 for c in chunks)
+    assert read(path) == read(path)  # each iteration reads the file again
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1.5", "not a base-10 integer"),
+        ("abc", "not a base-10 integer"),
+        ("+4", "not a base-10 integer"),
+        ("1 2", "2 values"),
+        ("3\r4", "2 values"),
+        ("-3", "negative state -3"),
+        ("9223372036854775808", "state 9223372036854775808 does not fit in int64"),
+        ("99999999999999999999", "state 99999999999999999999 does not fit in int64"),
+    ],
+)
+@pytest.mark.parametrize("lineno", [2, 3 * CHUNK])
+def test_reader_rejects_bad_lines_naming_them(tmp_path, line, message, lineno):
+    lines = ["1"] * (lineno - 1) + [line] + ["2"] * 5
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {lineno}: {message}"):
+        read(path)
+
+
+def test_reader_rejects_a_line_longer_than_a_read(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"1\n2\n" + b" " * (4 * CHUNK) + b"3\n")
+    with pytest.raises(ValueError, match="^line 3: longer than"):
+        read(path)
+
+
+def test_reader_max_steps_is_exact(tmp_path):
+    states = [i % 7 for i in range(3 * CHUNK + 1)]
+    path = write_trace(tmp_path / "t.txt", states, last_newline=False)
+    for max_steps in (0, 1, CHUNK // 2, CHUNK, CHUNK + 1, 3 * CHUNK + 1, 10 * CHUNK):
+        assert read(path, max_steps) == states[:max_steps]
+
+
+def test_reader_max_steps_counts_states_and_stops_before_bad_lines(tmp_path):
+    path = tmp_path / "t.txt"
+    # blank lines are not states; the bad line after the cut is never checked
+    path.write_text("4\n\n5\n\n6\nnot a state\n")
+    assert read(path, 3) == [4, 5, 6]
+    with pytest.raises(ValueError, match="^line 6"):
+        read(path, 4)
+
+
+def test_reader_rejects_negative_max_steps(tmp_path):
+    with pytest.raises(ValueError, match="max_steps"):
+        states_from_file(tmp_path / "t.txt", -1)
