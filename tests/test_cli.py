@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -307,3 +308,47 @@ def test_infinite_relaxation_serializes(capsys):
     doc = json.loads(out)
     assert doc["trials"][0]["ell_star"] == 1.0
     assert doc["trials"][0]["t_r_upper"] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# golden reports: one per fresh-path mode, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+GOLDEN_ARGV = ["run", "--chain", "line", "--size", "20", "--p", "0.7", "--n", "500000",
+               "--trials", "2", "--seed", "3", "--no-timing"]
+
+# SHA-256 of the report, with the --mu-file path replaced by "mu.txt".
+GOLDEN_REPORTS = {
+    ("plain", "json"):
+        "98cdd5211717b0e3b354587dad77e4cd4b55f820aff135365f96cde7cf5d836c",
+    ("plain", "csv"):
+        "84bb9779f31cd4816459a4b4e3b1fd7063d31c52ff76b849d68d8b7b6a35b9d3",
+    ("nonlazy", "json"):
+        "01c674c55ddf0e8e4d378b35e7b04b95be642cb6f680a8d6860acafb466cf9b1",
+    ("nonlazy", "csv"):
+        "e417291db6453fd2749491d12272160363551bef7f453a4bf8735a81accaa254",
+    ("mu", "json"):
+        "585184a8e91c0f2e5a46a4c4d120fb91410789d15984e696ffdb5c6a3862f115",
+    ("mu", "csv"):
+        "40b7ad7ccb46d72329f50c9b8b639b79f6500ae520d230d58fd357faaaaa764b",
+    ("nonlazy-mu", "json"):
+        "4bc80e261bb3e7ff2b143aade2c986b2cde211454dd60c6a63ffd446172d966d",
+    ("nonlazy-mu", "csv"):
+        "c0d724e1a5d000441b12db26f7d3bd3aa95f3c12802dd7bdfcc77912e194c29f",
+}
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(GOLDEN_REPORTS))
+def test_run_golden_report(tmp_path, capsys, mode, fmt):
+    mu = tmp_path / "mu.txt"
+    mu.write_text("\n".join(["0.025", "0.075"] * 10) + "\n")
+    flags = {
+        "plain": [],
+        "nonlazy": ["--nonlazy"],
+        "mu": ["--mu-file", str(mu)],
+        "nonlazy-mu": ["--nonlazy", "--mu-file", str(mu)],
+    }[mode]
+    code, out, err = run_cli(capsys, GOLDEN_ARGV + flags + ["--format", fmt])
+    assert code == 0 and err == ""
+    out = out.replace(str(mu), "mu.txt")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[mode, fmt]

@@ -19,7 +19,7 @@ from specgap.chains import (
     generate_regular_graph,
 )
 from specgap.estimator import UcpiConfig
-from specgap.extensions import estimate_nonlazy, weighted_collect
+from specgap.extensions import estimate_nonlazy, finalize_weighted, weighted_collect
 from specgap.sampling import (
     RtfEngine,
     UspEngine,
@@ -105,6 +105,53 @@ CASES = {
 def test_counts_fingerprint_is_pinned(name):
     collect, expected = CASES[name]
     assert sha256(collect()) == expected
+
+
+
+# Finalized output: the KL bounds u_hat and plug-in bounds ell_hat (one hash)
+# and argmin_k, recorded before weighted estimation was folded into the
+# unweighted pipeline.  On GRAPH every ell_k is clamped to 1; FLIP_HEAVY
+# (w_max = 4) gives plug-in values strictly inside [0, 1].
+def finalize_fingerprint(est):
+    return sha256(np.concatenate([est.u_hat, est.ell_hat])), est.argmin_k
+
+
+def weighted_finalized(oracle):
+    size = oracle.state_space_size()
+    cfg = UcpiConfig(size, PATHS, LENGTH, 0.1)
+    sampler = odd_heavy(size)
+    acc = weighted_collect(oracle, sampler, cfg, SEED)
+    return finalize_fingerprint(finalize_weighted(acc, cfg, sampler.min_pmf()))
+
+
+def nonlazy_finalized(oracle):
+    size = oracle.state_space_size()
+    cfg = UcpiConfig(size, PATHS, LENGTH, 0.1)
+    result = estimate_nonlazy(oracle, cfg, UniformSampler(size), SEED)
+    assert result.spectral_radius_bound == result.squared_estimate.ell_star ** 0.5
+    return finalize_fingerprint(result.squared_estimate)
+
+
+GRAPH_FINALIZED = ("b2fdce9ad4a5414d4e1891d6db15458d4e93ac72aa11ae9cb6ce9ba906e53790", 1)
+FLIP_WEIGHTED_FINALIZED = ("f105591e501a5e34a814bc2665c78679bc287c3fa28f1b9caf2312e7c0cdde5c", 1)
+FLIP_NONLAZY_FINALIZED = ("d39a9e1a4669b205eee7419c25f4f4c84f490a9af09da944adc625bfb677d0bd", 2)
+
+FINALIZE_CASES = {
+    "weighted-graph": (lambda: weighted_finalized(GRAPH), GRAPH_FINALIZED),
+    "weighted-graph-scalar": (lambda: weighted_finalized(ScalarOnly(GRAPH)), GRAPH_FINALIZED),
+    "weighted-flip": (lambda: weighted_finalized(FLIP_HEAVY), FLIP_WEIGHTED_FINALIZED),
+    "weighted-flip-scalar": (
+        lambda: weighted_finalized(ScalarOnly(FLIP_HEAVY)), FLIP_WEIGHTED_FINALIZED
+    ),
+    "nonlazy": (lambda: nonlazy_finalized(FLIP_HEAVY), FLIP_NONLAZY_FINALIZED),
+    "nonlazy-scalar": (lambda: nonlazy_finalized(ScalarOnly(FLIP_HEAVY)), FLIP_NONLAZY_FINALIZED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINALIZE_CASES))
+def test_finalize_fingerprint_is_pinned(name):
+    finalize, expected = FINALIZE_CASES[name]
+    assert finalize() == expected
 
 
 # Single-trajectory extraction: counts, every UspStats field and the
