@@ -42,7 +42,7 @@ from .estimator import (
     relaxation_upper_bound,
     validity_check,
 )
-from .extensions import SquaredChainOracle, estimate_nonlazy, finalize_weighted, weighted_collect
+from .extensions import SquaredChainOracle, weighted_collect
 from .sampling import (
     RtfEngine,
     UspEngine,
@@ -203,40 +203,23 @@ def _load_mu_sampler(path, state_space_size):
 
 def _run_rtf_trial(spec, chain, cfg, trial_index) -> TrialResult:
     master = _trial_master_seed(spec.seed, trial_index)
+    oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
     n_states = chain.state_space_size()
     if spec.mu_file is not None:
         sampler = _load_mu_sampler(spec.mu_file, n_states)
-        oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
         acc = weighted_collect(oracle, sampler, cfg, master, worker_count=spec.workers)
-        est = finalize_weighted(acc, cfg)
-        calls = cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1)
-        if spec.nonlazy:
-            mapped = math.sqrt(est.ell_star)
-            return TrialResult(
-                trial=trial_index, seed=master, ell_star=mapped,
-                t_r_upper=relaxation_upper_bound(mapped), argmin_k=est.argmin_k,
-                informative=mapped < 1.0, oracle_calls=calls, raw_ell_star=est.ell_star,
-            )
-        return TrialResult(
-            trial=trial_index, seed=master, ell_star=est.ell_star,
-            t_r_upper=est.relaxation_upper, argmin_k=est.argmin_k,
-            informative=est.informative, oracle_calls=calls,
-        )
-    sampler = UniformSampler(n_states)
-    if spec.nonlazy:
-        result = estimate_nonlazy(chain, cfg, sampler, master, worker_count=spec.workers)
-        return TrialResult(
-            trial=trial_index, seed=master, ell_star=result.spectral_radius_bound,
-            t_r_upper=result.relaxation_upper, argmin_k=result.squared_estimate.argmin_k,
-            informative=result.spectral_radius_bound < 1.0, oracle_calls=result.inner_calls,
-            raw_ell_star=result.squared_estimate.ell_star,
-        )
-    engine = RtfEngine(chain, sampler, cfg, master, worker_count=spec.workers)
-    est = finalize_estimate(rtf_collect(engine), cfg)
+    else:
+        engine = RtfEngine(oracle, UniformSampler(n_states), cfg, master, worker_count=spec.workers)
+        acc = rtf_collect(engine)
+    est = finalize_estimate(acc, cfg)
+    # The two-step chain bounds the squared spectral radius.
+    ell_star = math.sqrt(est.ell_star) if spec.nonlazy else est.ell_star
     return TrialResult(
-        trial=trial_index, seed=master, ell_star=est.ell_star, t_r_upper=est.relaxation_upper,
-        argmin_k=est.argmin_k, informative=est.informative,
-        oracle_calls=cfg.num_paths * cfg.max_path_length,
+        trial=trial_index, seed=master, ell_star=ell_star,
+        t_r_upper=relaxation_upper_bound(ell_star), argmin_k=est.argmin_k,
+        informative=ell_star < 1.0,
+        oracle_calls=cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1),
+        raw_ell_star=est.ell_star if spec.nonlazy else None,
     )
 
 
@@ -252,7 +235,13 @@ def _run_usp_trial(spec, chain, cfg, trial_index) -> TrialResult:
         target_sampler=UniformSampler(chain.state_space_size()),
         master_seed=master,
     )
-    acc = usp_collect(engine, num_segments=cfg.num_paths)
+    try:
+        acc = usp_collect(engine, num_segments=cfg.num_paths)
+    except (OSError, ValueError) as exc:
+        # The trace file is opened and parsed lazily, while segments are extracted.
+        if spec.usp_path is None:
+            raise
+        raise ConfigError(f"cannot read trajectory file: {exc}") from exc
     if acc.paths_completed == 0:
         return TrialResult(
             trial=trial_index, seed=master, ell_star=1.0, t_r_upper=math.inf,

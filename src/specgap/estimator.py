@@ -16,6 +16,7 @@ the whole estimation path uses O(K) memory regardless of state-space size.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -100,13 +101,10 @@ class ReturnCountAccumulator:
     def max_path_length(self) -> int:
         return len(self.counts)
 
-    @property
-    def total_weight(self) -> np.ndarray:
-        # Unit-weight view; the importance-weighted variant overrides this.
-        return self.counts.astype(float)
-
     def copy(self) -> "ReturnCountAccumulator":
-        return ReturnCountAccumulator(self.counts.copy(), self.paths_completed)
+        out = copy.copy(self)
+        out.counts = self.counts.copy()
+        return out
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,10 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
 
     Per k: m_hat = counts/I, u_hat = KL upper bound at level delta/(2K),
     ell_hat = plug-in eigenvalue bound; ell_star is the minimum over k.
-    Pure function of (acc, cfg): identical inputs give identical outputs.
+    An importance-weighted accumulator (``extensions.weighted_collect``)
+    holds scaled sums in [0, I] and carries ``w_max``, which replaces |S|
+    in the plug-in.  Pure function of (acc, cfg): identical inputs give
+    identical outputs.
     """
     K = cfg.max_path_length
     I = cfg.num_paths
@@ -243,9 +244,8 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
     m_hat = counts / I
     per_k_confidence = cfg.confidence / (2.0 * K)
     u_hat = np.array([confidence_upper_bound(m, I, per_k_confidence) for m in m_hat])
-    ell_hat = np.array(
-        [plugin_bound(u, k, cfg.state_space_size) for k, u in enumerate(u_hat, start=1)]
-    )
+    trace_scale = getattr(acc, "w_max", cfg.state_space_size)
+    ell_hat = np.array([plugin_bound(u, k, trace_scale) for k, u in enumerate(u_hat, start=1)])
     argmin_k = int(np.argmin(ell_hat)) + 1
     ell_star = float(ell_hat[argmin_k - 1])
     return UcpiEstimate(

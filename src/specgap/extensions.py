@@ -7,9 +7,11 @@ upper-bounds the largest absolute eigenvalue itself.
 
 When uniform start states are unavailable, starts are drawn from a known
 pmf and the return indicators are importance-weighted by 1/pmf(start).
-Rescaling the weighted indicators into [0, 1] by w_max = 1/min_pmf lets the
-same Bernoulli-KL confidence machinery bound the weighted mean, at the cost
-of conservatism growing as min_pmf drifts below uniform.
+Weighted estimation is the unweighted pipeline with two changes: each path
+adds its start weight min_pmf/pmf(x0), in (0, 1], in place of 1, and the
+plug-in uses w_max = 1/min_pmf in place of |S|.  Rescaling into [0, 1] this
+way lets the same Bernoulli-KL confidence machinery bound the weighted
+mean, at the cost of conservatism growing as min_pmf drifts below uniform.
 """
 
 from __future__ import annotations
@@ -21,21 +23,13 @@ import numpy as np
 
 from .chains import InitialSampler, TransitionOracle
 from .estimator import (
+    ReturnCountAccumulator,
     UcpiConfig,
     UcpiEstimate,
-    confidence_upper_bound,
+    finalize_estimate,
     relaxation_upper_bound,
 )
-from .sampling import (
-    CollectionError,
-    RtfEngine,
-    _block_failure,
-    _draw_block,
-    _PathStreams,
-    _run_blocks,
-    _step_block,
-    rtf_collect,
-)
+from .sampling import RtfEngine, _collect, rtf_collect
 
 __all__ = [
     "SquaredChainOracle",
@@ -100,18 +94,8 @@ def estimate_nonlazy(
     cfg.max_path_length two-step transitions, so the one-step budget is
     2 * I * K inner calls.
     """
-    from .estimator import finalize_estimate  # local to avoid cycle at import time
-
-    squared = SquaredChainOracle(oracle)
-    engine = RtfEngine(
-        oracle=squared,
-        initial=initial,
-        config=cfg,
-        master_seed=master_seed,
-        worker_count=worker_count,
-    )
-    acc = rtf_collect(engine)
-    raw = finalize_estimate(acc, cfg)
+    engine = RtfEngine(SquaredChainOracle(oracle), initial, cfg, master_seed, worker_count)
+    raw = finalize_estimate(rtf_collect(engine), cfg)
     mapped = math.sqrt(raw.ell_star)
     return NonLazyEstimate(
         squared_estimate=raw,
@@ -121,19 +105,22 @@ def estimate_nonlazy(
     )
 
 
-@dataclass
-class WeightedReturnAccumulator:
+@dataclass(init=False)
+class WeightedReturnAccumulator(ReturnCountAccumulator):
     """Importance-weighted return sums, stored in w_max-rescaled form.
 
-    ``scaled_counts[k-1]`` sums min_pmf/pmf(start) over paths that returned
-    at step k; each term lies in (0, 1], so scaled_counts/I is a mean of
-    [0, 1]-bounded variables.  ``weighted_sums`` recovers the raw
-    importance-weighted sums (unbiased for the trace of the k-th power).
+    ``counts[k-1]`` (also ``scaled_counts``) sums min_pmf/pmf(start) as
+    float64 over paths that returned at step k; each term lies in (0, 1],
+    so scaled_counts/I is a mean of [0, 1]-bounded variables.
+    ``weighted_sums`` recovers the raw importance-weighted sums (unbiased
+    for the trace of the k-th power).
     """
 
-    scaled_counts: np.ndarray
     w_max: float
-    paths_completed: int = 0
+
+    def __init__(self, scaled_counts: np.ndarray, w_max: float, paths_completed: int = 0):
+        super().__init__(scaled_counts, paths_completed)
+        self.w_max = w_max
 
     @classmethod
     def empty(cls, max_path_length: int, w_max: float) -> "WeightedReturnAccumulator":
@@ -141,66 +128,15 @@ class WeightedReturnAccumulator:
             raise ValueError("max_path_length must be >= 1")
         if w_max < 1.0:
             raise ValueError("w_max = 1/min_pmf must be >= 1")
-        return cls(scaled_counts=np.zeros(max_path_length), w_max=w_max)
+        return cls(np.zeros(max_path_length), w_max)
 
     @property
-    def max_path_length(self) -> int:
-        return len(self.scaled_counts)
+    def scaled_counts(self) -> np.ndarray:
+        return self.counts
 
     @property
     def weighted_sums(self) -> np.ndarray:
-        return self.scaled_counts * self.w_max
-
-    def copy(self) -> "WeightedReturnAccumulator":
-        return WeightedReturnAccumulator(self.scaled_counts.copy(), self.w_max, self.paths_completed)
-
-
-def _merge_weighted(accs):
-    out = accs[0].copy()
-    for acc in accs[1:]:
-        out.scaled_counts = out.scaled_counts + acc.scaled_counts
-        out.paths_completed += acc.paths_completed
-    return out
-
-
-def _weighted_block(oracle, initial, K, master_seed, start, stop, min_pmf):
-    ups = getattr(oracle, "uniforms_per_step", None)
-    w_max = 1.0 / min_pmf
-    acc = WeightedReturnAccumulator.empty(K, w_max=w_max)
-    if ups is not None:
-        # All or nothing: a failure anywhere in the block commits none of its paths.
-        try:
-            x0, uniforms = _draw_block(initial, ups, K, master_seed, start, stop)
-        except Exception as exc:
-            raise _block_failure(start, stop, exc, acc) from exc
-        p = np.fromiter((initial.pmf(int(x)) for x in x0), float, len(x0))
-        if (p <= 0.0).any():
-            bad = x0[np.argmax(p <= 0.0)]
-            raise CollectionError(f"sampler produced state {bad} with zero pmf", partial=acc)
-        weights = min_pmf / p
-        try:
-            steps = _step_block(oracle, x0, uniforms, K)
-            scaled_counts = np.fromiter((weights @ (xs == x0) for xs in steps), float, K)
-        except Exception as exc:
-            raise _block_failure(start, stop, exc, acc) from exc
-        return WeightedReturnAccumulator(scaled_counts, w_max, paths_completed=stop - start)
-    returns = np.empty(K, dtype=bool)
-    streams = _PathStreams(master_seed)
-    for j in range(start, stop):
-        rng = streams(j)
-        try:
-            x = x0 = initial.sample(rng)
-            p = initial.pmf(x0)
-            if p <= 0.0:
-                raise ValueError(f"sampler produced state {x0} with zero pmf")
-            for k in range(K):
-                x = oracle.next_state(x, rng)
-                returns[k] = x == x0
-        except Exception as exc:
-            raise CollectionError(f"simulator failed on path {j}: {exc}", partial=acc) from exc
-        acc.scaled_counts += returns * (min_pmf / p)
-        acc.paths_completed += 1
-    return acc
+        return self.counts * self.w_max
 
 
 def weighted_collect(
@@ -214,63 +150,37 @@ def weighted_collect(
 
     Per path: draw a start from the sampler's pmf, simulate K steps, and add
     min_pmf/pmf(start) to every k at which the path sits in its start state.
-    With a uniform sampler this reduces exactly to unweighted counting.
+    A start whose pmf is zero or below ``initial.min_pmf()`` (a weight
+    above 1) fails its path with ``CollectionError``.  With a uniform
+    sampler this reduces exactly to unweighted counting.
     """
     min_pmf = initial.min_pmf()
     if min_pmf <= 0.0:
         raise ValueError("initial sampler must have strictly positive min_pmf")
-    K = cfg.max_path_length
 
-    def block_fn(start, stop):
-        return _weighted_block(oracle, initial, K, master_seed, start, stop, min_pmf)
+    def weight(x0):
+        p = initial.pmf(x0)
+        if not p >= min_pmf:  # zero, or a weight above 1
+            reason = "zero pmf" if p <= 0.0 else f"pmf {p} below min_pmf {min_pmf}"
+            raise ValueError(f"sampler produced state {x0} with {reason}")
+        return min_pmf / p
 
-    return _run_blocks(cfg.num_paths, worker_count, block_fn, _merge_weighted)
+    empty = WeightedReturnAccumulator.empty(cfg.max_path_length, w_max=1.0 / min_pmf)
+    return _collect(RtfEngine(oracle, initial, cfg, master_seed, worker_count), empty, weight)
 
 
 def finalize_weighted(
     acc: WeightedReturnAccumulator, cfg: UcpiConfig, min_pmf: float | None = None
 ) -> UcpiEstimate:
-    """Eigenvalue bound from importance-weighted sums.
+    """Eigenvalue bound from importance-weighted sums: ``finalize_estimate``.
 
     The rescaled per-path terms are [0, 1]-bounded, so the Bernoulli-KL
-    bound applied to their mean s_k yields an upper confidence bound on
-    E[s_k]; multiplying back by w_max bounds the trace of the k-th power,
-    which the usual plug-in map turns into an eigenvalue bound.  With a
-    uniform sampler the output matches the unweighted pipeline exactly.
+    bound on their mean s_k bounds E[s_k]; times w_max (in place of |S|) it
+    bounds the trace of the k-th power, which the plug-in map turns into an
+    eigenvalue bound.  ``min_pmf``, when given, must agree with ``acc.w_max``.
     """
-    K = cfg.max_path_length
-    I = cfg.num_paths
-    if acc.max_path_length != K:
-        raise ValueError(
-            f"accumulator tracks {acc.max_path_length} path lengths, config expects {K}"
-        )
-    if acc.paths_completed != I:
-        raise ValueError(
-            f"accumulator holds {acc.paths_completed} completed paths, config expects {I}"
-        )
     if min_pmf is not None and not math.isclose(1.0 / min_pmf, acc.w_max, rel_tol=1e-12):
         raise ValueError(
             f"min_pmf={min_pmf} is inconsistent with accumulator w_max={acc.w_max}"
         )
-    scaled_mean = np.clip(acc.scaled_counts / I, 0.0, 1.0)
-    per_k_confidence = cfg.confidence / (2.0 * K)
-    u_scaled = np.array(
-        [confidence_upper_bound(s, I, per_k_confidence) for s in scaled_mean]
-    )
-    trace_bounds = u_scaled * acc.w_max
-    ell_values = []
-    for k, t in enumerate(trace_bounds, start=1):
-        base = t - 1.0
-        ell_values.append(0.0 if base <= 0.0 else min(base ** (1.0 / k), 1.0))
-    ell_hat = np.array(ell_values)
-    argmin_k = int(np.argmin(ell_hat)) + 1
-    ell_star = float(ell_hat[argmin_k - 1])
-    return UcpiEstimate(
-        m_hat=scaled_mean,
-        u_hat=u_scaled,
-        ell_hat=ell_hat,
-        ell_star=ell_star,
-        argmin_k=argmin_k,
-        relaxation_upper=relaxation_upper_bound(ell_star),
-        informative=ell_star < 1.0,
-    )
+    return finalize_estimate(acc, cfg)

@@ -146,34 +146,33 @@ def _step_block(oracle, x0, uniforms, K):
         yield xs
 
 
-def _block_failure(start, stop, exc, empty):
-    """The error for a vectorized block that failed; `empty` is its (empty) partial."""
-    return CollectionError(
-        f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=empty
-    )
-
-
-def _collect_block_vectorized(oracle, initial, K, master_seed, start, stop):
+def _collect_block_vectorized(oracle, initial, K, master_seed, start, stop, acc, weight):
     # All or nothing: a failure anywhere in the block commits none of its paths.
     try:
         x0, uniforms = _draw_block(initial, oracle.uniforms_per_step, K, master_seed, start, stop)
         steps = _step_block(oracle, x0, uniforms, K)
-        counts = np.fromiter((np.count_nonzero(xs == x0) for xs in steps), np.int64, K)
+        if weight is None:
+            counts = np.fromiter((np.count_nonzero(xs == x0) for xs in steps), np.int64, K)
+        else:
+            weights = np.fromiter((weight(int(x)) for x in x0), float, len(x0))
+            counts = np.fromiter((weights @ (xs == x0) for xs in steps), float, K)
     except Exception as exc:
-        raise _block_failure(start, stop, exc, ReturnCountAccumulator.empty(K)) from exc
-    acc = ReturnCountAccumulator(counts)
+        raise CollectionError(
+            f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=acc
+        ) from exc
+    acc.counts += counts
     acc.paths_completed = stop - start
     return acc
 
 
-def _collect_block_scalar(oracle, initial, K, master_seed, start, stop):
-    acc = ReturnCountAccumulator.empty(K)
+def _collect_block_scalar(oracle, initial, K, master_seed, start, stop, acc, weight):
     returns = np.empty(K, dtype=bool)
     streams = _PathStreams(master_seed)
     for j in range(start, stop):
         rng = streams(j)
         try:
             x = x0 = initial.sample(rng)
+            w = None if weight is None else weight(x0)
             for k in range(K):
                 x = oracle.next_state(x, rng)
                 returns[k] = x == x0
@@ -182,7 +181,7 @@ def _collect_block_scalar(oracle, initial, K, master_seed, start, stop):
                 f"simulator failed on path {j}: {exc}", partial=acc
             ) from exc
         # Commit only completed paths so counts[k] <= paths_completed holds.
-        acc.counts += returns
+        acc.counts += returns if w is None else returns * w
         acc.paths_completed += 1
     return acc
 
@@ -191,8 +190,8 @@ def _block_ranges(num_paths: int):
     return [(s, min(s + BLOCK_SIZE, num_paths)) for s in range(0, num_paths, BLOCK_SIZE)]
 
 
-def _run_blocks(num_paths: int, worker_count: int, block_fn: Callable, merge: Callable):
-    """Run `block_fn(start, stop)` over fixed blocks and `merge` them in block order.
+def _run_blocks(num_paths: int, worker_count: int, block_fn: Callable):
+    """Run `block_fn(start, stop)` over fixed blocks and merge them in block order.
 
     On a `CollectionError` the error is re-raised with `partial` holding the
     merge of every block before the failing one plus that block's partial.
@@ -209,8 +208,9 @@ def _run_blocks(num_paths: int, worker_count: int, block_fn: Callable, merge: Ca
                 for fut in futures:
                     results.append(fut.result())
     except CollectionError as exc:
-        raise CollectionError(str(exc), partial=merge(results + [exc.partial])) from exc.__cause__
-    return merge(results)
+        partial = _merge_ordered(results + [exc.partial])
+        raise CollectionError(str(exc), partial=partial) from exc.__cause__
+    return _merge_ordered(results)
 
 
 def _merge_ordered(accs):
@@ -223,6 +223,25 @@ def _merge_ordered(accs):
     return out
 
 
+def _collect(engine: RtfEngine, empty: ReturnCountAccumulator, weight=None):
+    """Run ``engine`` into copies of the ``empty`` accumulator, one per block.
+
+    A path adds 1 to ``counts[k-1]`` when it is back at its start x0 after k
+    steps, or ``weight(x0)`` when a weight is given; a raising ``weight``
+    fails the path like a raising simulator.
+    """
+    K = engine.config.max_path_length
+    vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
+    collect_block = _collect_block_vectorized if vectorized else _collect_block_scalar
+
+    def block_fn(start, stop):
+        return collect_block(
+            engine.oracle, engine.initial, K, engine.master_seed, start, stop, empty.copy(), weight
+        )
+
+    return _run_blocks(engine.config.num_paths, engine.worker_count, block_fn)
+
+
 def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
     """Simulate I fresh paths of length K and count per-k returns.
 
@@ -232,32 +251,30 @@ def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
     provides ``step_with_uniforms``; the scalar fallback produces identical
     counts because both consume the same per-path streams.
     """
-    cfg = engine.config
-    vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
-    if vectorized:
-        def block_fn(start, stop):
-            return _collect_block_vectorized(
-                engine.oracle, engine.initial, cfg.max_path_length, engine.master_seed, start, stop
-            )
-    else:
-        def block_fn(start, stop):
-            return _collect_block_scalar(
-                engine.oracle, engine.initial, cfg.max_path_length, engine.master_seed, start, stop
-            )
-    return _run_blocks(cfg.num_paths, engine.worker_count, block_fn, _merge_ordered)
+    return _collect(engine, ReturnCountAccumulator.empty(engine.config.max_path_length))
 
 
 def merge_accumulators(accumulators: Iterable[ReturnCountAccumulator]) -> ReturnCountAccumulator:
-    """Componentwise sum of count accumulators sharing the same K."""
+    """Componentwise sum of count accumulators sharing the same K.
+
+    Importance-weighted accumulators merge only with each other, and only
+    when they share ``w_max``.
+    """
     accs = list(accumulators)
     if not accs:
         raise ValueError("need at least one accumulator")
     K = accs[0].max_path_length
+    w_max = getattr(accs[0], "w_max", None)
     for acc in accs[1:]:
         if acc.max_path_length != K:
             raise ValueError(
                 f"cannot merge accumulators of lengths {K} and {acc.max_path_length}"
             )
+        other = getattr(acc, "w_max", None)
+        if (other is None) != (w_max is None):
+            raise ValueError("cannot merge weighted and unweighted accumulators")
+        if other != w_max:
+            raise ValueError(f"cannot merge accumulators with w_max {w_max} and {other}")
     return _merge_ordered(accs)
 
 

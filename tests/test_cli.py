@@ -214,6 +214,23 @@ def test_config_errors_exit_two(capsys, argv):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("content", [None, "0\n1\nx\n2\n"])
+def test_bad_usp_path_exits_two(tmp_path, capsys, content):
+    # A missing file, and a malformed one (line 3 is not a state).
+    path = tmp_path / "trace.txt"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(
+        capsys,
+        ["run", "--chain", "line", "--size", "4", "--model", "usp", "--usp-path", str(path),
+         "--n", "1000"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot read trajectory file")
+    if content is not None:
+        assert "line 3" in err
+
+
 def test_mu_file_wrong_length_exits_two(tmp_path, capsys):
     mu = tmp_path / "mu.txt"
     mu.write_text("0.5\n0.5\n")

@@ -224,6 +224,61 @@ def test_weighted_rejects_zero_pmf_draws():
         weighted_collect(TWO_STATE, LyingSampler(), cfg, master_seed=0)
 
 
+class UnderstatesMinPmf:
+    """Uniform on four states (pmf 0.25) but reports min_pmf() = 0.5: weight 2."""
+
+    def __init__(self):
+        self.inner = UniformSampler(4)
+
+    def sample(self, rng):
+        return self.inner.sample(rng)
+
+    def pmf(self, x):
+        return self.inner.pmf(x)
+
+    def min_pmf(self):
+        return 0.5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scalar", [False, True])
+def test_weighted_rejects_weights_above_one(scalar, workers):
+    chain = BiasedLineChain(4, 0.5)
+    oracle = CallCounter(chain) if scalar else chain
+    cfg = UcpiConfig(4, 2000, 4, 0.1)
+    with pytest.raises(CollectionError, match="pmf 0.25 below min_pmf 0.5") as exc_info:
+        weighted_collect(oracle, UnderstatesMinPmf(), cfg, master_seed=0, worker_count=workers)
+    partial = exc_info.value.partial
+    assert isinstance(partial, WeightedReturnAccumulator)
+    assert partial.paths_completed == 0
+    assert isinstance(exc_info.value.__cause__, ValueError)
+
+
+def test_weighted_vectorized_zero_pmf_names_the_block():
+    class LyingSampler:
+        def sample(self, rng):
+            return 1
+
+        def pmf(self, x):
+            return 0.0
+
+        def min_pmf(self):
+            return 0.25
+
+    with pytest.raises(CollectionError) as exc_info:
+        weighted_collect(TWO_STATE, LyingSampler(), UcpiConfig(2, 10, 2, 0.1), master_seed=0)
+    assert str(exc_info.value) == (
+        "simulator failed in block of paths 0..9: sampler produced state 1 with zero pmf"
+    )
+
+
+def test_finalize_weighted_rejects_scaled_sums_above_paths():
+    # Weights above 1 could push a scaled sum past I; finalize must not clip it.
+    acc = WeightedReturnAccumulator(np.array([3618.0, 3316.0, 2994.0, 2784.0]), 2.0, 2000)
+    with pytest.raises(ValueError, match="must lie in"):
+        finalize_weighted(acc, UcpiConfig(4, 2000, 4, 0.1))
+
+
 def odd_heavy(size):
     weights = np.where(np.arange(size) % 2 == 1, 2.0, 1.0)
     return TabularSampler(weights / weights.sum())

@@ -6,6 +6,7 @@ from scipy import stats
 
 from specgap.chains import BiasedLineChain, DenseMatrixChain, TabularSampler, UniformSampler
 from specgap.estimator import ReturnCountAccumulator, UcpiConfig, finalize_estimate
+from specgap.extensions import WeightedReturnAccumulator
 from specgap.sampling import (
     BLOCK_SIZE,
     CollectionError,
@@ -299,6 +300,23 @@ def test_merge_is_permutation_invariant():
 def test_merge_rejects_length_mismatch():
     with pytest.raises(ValueError, match="lengths"):
         merge_accumulators([make_acc([1, 2], 2), make_acc([1, 2, 3], 3)])
+
+
+def test_merge_weighted_guards():
+    def weighted(sums, paths, w_max):
+        return WeightedReturnAccumulator(np.asarray(sums, dtype=float), w_max, paths)
+
+    a, b = weighted([1.0, 0.5], 2, 2.0), weighted([0.5, 0.5], 1, 2.0)
+    merged = merge_accumulators([a, b])
+    assert isinstance(merged, WeightedReturnAccumulator)
+    assert merged.scaled_counts.tolist() == [1.5, 1.0]
+    assert (merged.w_max, merged.paths_completed) == (2.0, 3)
+    with pytest.raises(ValueError, match="weighted and unweighted"):
+        merge_accumulators([a, make_acc([1, 1], 2)])
+    with pytest.raises(ValueError, match="weighted and unweighted"):
+        merge_accumulators([make_acc([1, 1], 2), a])
+    with pytest.raises(ValueError, match="w_max 2.0 and 4.0"):
+        merge_accumulators([a, weighted([1.0, 0.0], 1, 4.0)])
 
 
 def test_merge_does_not_mutate_inputs():
