@@ -12,7 +12,6 @@ from .chains import (
     RegularGraphChain,
     TabularSampler,
     UniformSampler,
-    empirical_transition_matrix,
     exact_spectrum,
     generate_regular_graph,
     line_stationary,

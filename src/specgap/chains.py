@@ -8,9 +8,9 @@ advances a whole batch of states from pre-drawn uniforms (exactly
 vectorized simulation see the same random stream).
 
 For small chains the exact oracles (stationary distribution, full spectrum
-via symmetrization, traces of matrix powers, empirical transition matrix)
-provide the ground truth the estimator is verified against.  States are
-0-based dense integers everywhere.
+via symmetrization, traces of matrix powers) provide the ground truth the
+estimator is verified against.  States are 0-based dense integers
+everywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "TransitionOracle",
@@ -33,7 +32,6 @@ __all__ = [
     "exact_spectrum",
     "trace_of_power",
     "return_probability_curve",
-    "empirical_transition_matrix",
     "generate_regular_graph",
     "load_matrix_chain",
     "save_matrix_chain",
@@ -41,6 +39,12 @@ __all__ = [
 
 #: Largest state space the dense exact oracles accept.
 MAX_EXACT_STATES = 2000
+
+#: Largest detailed-balance error ``exact_spectrum`` accepts.
+REVERSIBILITY_TOL = 1e-8
+
+#: Pairing-model attempts ``generate_regular_graph`` makes before giving up.
+GRAPH_MAX_TRIES = 200
 
 
 class TransitionOracle(Protocol):
@@ -88,6 +92,8 @@ class TabularSampler:
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or len(p) < 1:
             raise ValueError("probabilities must be a non-empty vector")
+        if not np.isfinite(p).all():
+            raise ValueError("all pmf entries must be finite")
         if p.min() <= 0.0:
             raise ValueError("all pmf entries must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -240,6 +246,8 @@ class DenseMatrixChain:
         P = np.asarray(matrix, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
             raise ValueError("matrix must be square and non-empty")
+        if not np.isfinite(P).all():
+            raise ValueError("matrix entries must be finite")
         if P.min() < 0.0:
             raise ValueError("matrix entries must be non-negative")
         rowsum_err = np.abs(P.sum(axis=1) - 1.0).max()
@@ -302,13 +310,13 @@ def _check_desk_scale(n: int) -> None:
         raise ValueError(f"exact oracles support at most {MAX_EXACT_STATES} states, got {n}")
 
 
-def exact_spectrum(chain, reversibility_tol: float = 1e-8) -> np.ndarray:
+def exact_spectrum(chain) -> np.ndarray:
     """Eigenvalues of the chain's transition matrix, sorted descending.
 
     Requires reversibility: the matrix is similarity-transformed with the
     square root of the stationary distribution into a symmetric matrix and
     handed to a dense symmetric eigensolver, which guarantees a real
-    spectrum.  Raises if detailed balance fails beyond ``reversibility_tol``
+    spectrum.  Raises if detailed balance fails beyond ``REVERSIBILITY_TOL``
     or the leading eigenvalue is not 1.
     """
     P = chain.transition_matrix()
@@ -318,11 +326,11 @@ def exact_spectrum(chain, reversibility_tol: float = 1e-8) -> np.ndarray:
         raise ValueError("stationary distribution must be strictly positive")
     flows = pi[:, None] * P
     balance_err = np.abs(flows - flows.T).max()
-    if balance_err > reversibility_tol:
+    if balance_err > REVERSIBILITY_TOL:
         raise ValueError(f"chain is not reversible (detailed-balance error {balance_err:.2e})")
     d = np.sqrt(pi)
     S = P * (d[:, None] / d[None, :])
-    eigenvalues = scipy.linalg.eigh(0.5 * (S + S.T), eigvals_only=True)[::-1]
+    eigenvalues = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
     if abs(eigenvalues[0] - 1.0) > 1e-8:
         raise ValueError(f"leading eigenvalue is {eigenvalues[0]}, expected 1")
     return eigenvalues
@@ -351,30 +359,6 @@ def return_probability_curve(chain, max_k: int) -> np.ndarray:
         M = M @ P
         out[k] = np.trace(M) / n
     return out
-
-
-def empirical_transition_matrix(path, num_states: int | None = None):
-    """Row-normalized transition counts along a single path.
-
-    Returns ``(P_hat, visits)`` where ``visits[x]`` counts how often x was
-    left from; rows never visited are NaN.  Diagnostic baseline only - the
-    matrix costs O(|S|^2) memory, which is exactly what the estimator avoids.
-    """
-    states = np.asarray(path, dtype=np.int64)
-    if states.ndim != 1 or len(states) < 2:
-        raise ValueError("path must contain at least one transition")
-    if states.min() < 0:
-        raise ValueError("states must be non-negative indices")
-    n = int(num_states) if num_states is not None else int(states.max()) + 1
-    if states.max() >= n:
-        raise ValueError("path visits states beyond num_states")
-    counts = np.zeros((n, n))
-    np.add.at(counts, (states[:-1], states[1:]), 1.0)
-    visits = counts.sum(axis=1)
-    P_hat = np.full((n, n), np.nan)
-    seen = visits > 0
-    P_hat[seen] = counts[seen] / visits[seen, None]
-    return P_hat, visits.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +414,12 @@ def _is_connected(size: int, neighbors: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def generate_regular_graph(size: int, degree: int, seed: int, max_tries: int = 200) -> RegularGraphChain:
+def generate_regular_graph(size: int, degree: int, seed: int) -> RegularGraphChain:
     """Sample a simple connected d-regular graph via the pairing model.
 
     Loops and multi-edges are rejected and re-drawn; disconnected samples
     are regenerated.  Deterministic given ``seed``.  Raises RuntimeError
-    when ``max_tries`` attempts all fail (vanishingly unlikely at the
+    when ``GRAPH_MAX_TRIES`` attempts all fail (vanishingly unlikely at the
     moderate sizes this targets).
     """
     if degree < 1 or degree >= size:
@@ -443,7 +427,7 @@ def generate_regular_graph(size: int, degree: int, seed: int, max_tries: int = 2
     if (size * degree) % 2 != 0:
         raise ValueError("size * degree must be even (handshake lemma)")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(GRAPH_MAX_TRIES):
         edges = _pair_stubs(size, degree, rng)
         if edges is None:
             continue
@@ -459,7 +443,7 @@ def generate_regular_graph(size: int, degree: int, seed: int, max_tries: int = 2
         return RegularGraphChain(size=size, degree=degree, neighbors=neighbors, seed=seed)
     raise RuntimeError(
         f"could not generate a simple connected {degree}-regular graph on {size} "
-        f"vertices after {max_tries} attempts"
+        f"vertices after {GRAPH_MAX_TRIES} attempts"
     )
 
 

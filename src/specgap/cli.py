@@ -410,14 +410,12 @@ def reproduce_tables(max_n: int, trials: int, seed: int, graph_seed: int, worker
         chain = build_chain(spec0)
         lam_star, t_r, _ = _exact_values(chain, nonlazy=False)
         lines = [f"=== {label}: exact lambda_star={lam_star:.6f}, t_r={t_r:.4g} ==="]
-        lines.append(f"{'n':>10} {'est bound':>12} {'est t_r':>10}   baseline")
+        lines.append(f"{'n':>10} {'est bound':>12} {'est t_r':>10}")
         for n in budgets:
             spec = dataclasses.replace(spec0, n=n, trials=1)
             report = run_experiment(spec, with_timing=False)
             t = report.trials[0]
-            lines.append(
-                f"{n:>10} {t.ell_star:>12.6f} {t.t_r_upper:>10.4g}   n/a (external baseline)"
-            )
+            lines.append(f"{n:>10} {t.ell_star:>12.6f} {t.t_r_upper:>10.4g}")
         blocks.append("\n".join(lines))
 
         freq_n = min(10**6, max_n)
@@ -426,9 +424,9 @@ def reproduce_tables(max_n: int, trials: int, seed: int, graph_seed: int, worker
         freq_rows.append((label, freq_n, report.informative_frequency))
 
     lines = [f"=== Informative-output frequency ({trials} trials) ==="]
-    lines.append(f"{'instance':<30} {'n':>10} {'est P(bound<1)':>16}   baseline")
+    lines.append(f"{'instance':<30} {'n':>10} {'est P(bound<1)':>16}")
     for label, freq_n, freq in freq_rows:
-        lines.append(f"{label:<30} {freq_n:>10} {freq:>16.3f}   n/a (external baseline)")
+        lines.append(f"{label:<30} {freq_n:>10} {freq:>16.3f}")
     blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -475,6 +473,7 @@ def coverage_study(spec: ExperimentSpec, with_timing: bool = True):
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+    # Every dest but "out" and "no_timing" names an ExperimentSpec field.
     parser.add_argument("--chain", choices=["line", "regular", "matrix"], default="line")
     parser.add_argument("--size", type=int, default=20, help="number of states (line/regular)")
     parser.add_argument("--p", type=float, default=0.5, help="line-walk bias")
@@ -498,26 +497,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    return ExperimentSpec(
-        chain=args.chain,
-        size=args.size,
-        p=args.p,
-        d=args.d,
-        graph_seed=args.graph_seed,
-        matrix_file=args.matrix_file,
-        model=args.model,
-        n=args.n,
-        num_paths=args.num_paths,
-        max_path_length=args.max_path_length,
-        confidence=args.confidence,
-        seed=args.seed,
-        workers=args.workers,
-        trials=args.trials,
-        nonlazy=args.nonlazy,
-        mu_file=args.mu_file,
-        usp_path=args.usp_path,
-        output_format=args.output_format,
-    )
+    return ExperimentSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentSpec)})
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -63,11 +63,6 @@ class UcpiConfig:
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
 
-    @property
-    def guaranteed(self) -> bool:
-        """True when the sample sizes are large enough for the coverage guarantee."""
-        return validity_check(self)
-
 
 class BudgetParameters(NamedTuple):
     """Default (I, K, delta) derived from a simulation budget of n transitions."""
@@ -313,8 +308,8 @@ class TheoryDiagnostics:
     total their sum.  delta_quantity, k_star and r describe the predicted
     optimal path length and rate; r and k_star are +inf sentinels when the
     third eigenvalue is 0 (two-point spectra) and the definitions degenerate.
-    scaling_bound_64 / scaling_bound_128 evaluate the error-rate bound with
-    the two constants in circulation for it (delta_quantity itself uses 64).
+    scaling_bound_64 evaluates the error-rate bound with the constant 64
+    that delta_quantity uses.
     """
 
     lambda2: float
@@ -327,7 +322,6 @@ class TheoryDiagnostics:
     k_star: float
     asymptotic_variance: np.ndarray
     scaling_bound_64: float
-    scaling_bound_128: float
 
 
 def theory_diagnostics(spectrum, cfg: UcpiConfig) -> TheoryDiagnostics:
@@ -383,11 +377,9 @@ def theory_diagnostics(spectrum, cfg: UcpiConfig) -> TheoryDiagnostics:
     if math.isfinite(r) and 0.0 < lambda3 < 1.0 and delta_quantity < n * I / 64.0:
         log_term = math.log(n * I / (64.0 * log_budget))
         prefactor = 4.0 * n * math.log(1.0 / lambda3) / log_term if log_term != 0.0 else math.inf
-        scaling_64 = prefactor * (64.0 * log_budget / (n * I)) ** ((1.0 - r) / 2.0)
-        scaling_128 = prefactor * (128.0 * log_budget / (n * I)) ** ((1.0 - r) / 2.0)
+        scaling_64 = prefactor * delta_quantity ** ((1.0 - r) / 2.0)
     else:
         scaling_64 = math.inf
-        scaling_128 = math.inf
 
     return TheoryDiagnostics(
         lambda2=lambda2,
@@ -400,5 +392,4 @@ def theory_diagnostics(spectrum, cfg: UcpiConfig) -> TheoryDiagnostics:
         k_star=k_star,
         asymptotic_variance=variance,
         scaling_bound_64=scaling_64,
-        scaling_bound_128=scaling_128,
     )

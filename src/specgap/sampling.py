@@ -311,14 +311,15 @@ class UspEngine:
     as ``states_from_file``) hands them over itself, and any other iterable
     is read ``CHUNK`` states at a time, so up to ``CHUNK - 1`` states past
     the last one used may be drawn from it.  Each state is inspected once,
-    and memory stays O(CHUNK + K) however long the trajectory.
+    and memory stays O(CHUNK + K) however long the trajectory.  ``stats``
+    is not a parameter: ``usp_collect`` fills it in.
     """
 
     source: Iterable[int]
     segment_length: int
     target_sampler: InitialSampler
     master_seed: int
-    stats: UspStats = field(default_factory=UspStats)
+    stats: UspStats = field(default_factory=UspStats, init=False)
     on_segment: Optional[Callable[[int], None]] = None
 
     def __post_init__(self):

@@ -9,7 +9,6 @@ from specgap.chains import (
     DenseMatrixChain,
     TabularSampler,
     UniformSampler,
-    empirical_transition_matrix,
     exact_spectrum,
     generate_regular_graph,
     line_stationary,
@@ -151,41 +150,6 @@ def test_trace_matches_eigenvalue_sums_up_to_k50():
 
 
 # ---------------------------------------------------------------------------
-# empirical transition matrix
-# ---------------------------------------------------------------------------
-
-
-def test_empirical_matrix_constant_path():
-    P_hat, visits = empirical_transition_matrix([2, 2, 2, 2], num_states=3)
-    assert P_hat[2, 2] == 1.0
-    assert np.isnan(P_hat[0]).all() and np.isnan(P_hat[1]).all()
-    assert visits.tolist() == [0, 0, 3]
-
-
-def test_empirical_matrix_two_cycle():
-    path = [0, 1] * 20
-    P_hat, _ = empirical_transition_matrix(path)
-    assert P_hat[0, 1] == 1.0
-    assert P_hat[1, 0] == 1.0
-
-
-def test_empirical_matrix_long_two_state_path():
-    chain = DenseMatrixChain(TWO_STATE)
-    rng = np.random.default_rng(17)
-    n_steps = 40_000
-    path = np.empty(n_steps + 1, dtype=np.int64)
-    path[0] = 0
-    for t in range(n_steps):
-        path[t + 1] = chain.next_state(int(path[t]), rng)
-    P_hat, visits = empirical_transition_matrix(path, num_states=2)
-    P = np.asarray(TWO_STATE)
-    for x in range(2):
-        for y in range(2):
-            se = math.sqrt(P[x, y] * (1 - P[x, y]) / visits[x])
-            assert abs(P_hat[x, y] - P[x, y]) <= 5 * se
-
-
-# ---------------------------------------------------------------------------
 # regular graphs
 # ---------------------------------------------------------------------------
 
@@ -309,6 +273,10 @@ def test_tabular_sampler_validation():
         TabularSampler([0.5, 0.5, 0.0])
     with pytest.raises(ValueError):
         TabularSampler([0.5, 0.4])
+    with pytest.raises(ValueError, match="finite"):
+        TabularSampler([math.nan, -0.5, 1.5])  # NaN hides the negative entry and the sum
+    with pytest.raises(ValueError, match="finite"):
+        TabularSampler([math.inf, 0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +289,9 @@ def test_dense_chain_validation():
         DenseMatrixChain([[0.5, 0.4], [0.5, 0.5]])  # bad row sum
     with pytest.raises(ValueError):
         DenseMatrixChain([[1.1, -0.1], [0.5, 0.5]])  # negative entry
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DenseMatrixChain([[bad, 0.5, 0.5], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -241,6 +241,28 @@ def test_mu_file_wrong_length_exits_two(tmp_path, capsys):
     assert "pmf" in err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_non_finite_matrix_file_exits_two(tmp_path, capsys, entry):
+    path = tmp_path / "chain.txt"
+    path.write_text(f"3\n{entry} 0.5 0.5\n0.25 0.5 0.25\n0.25 0.25 0.5\n")
+    code, out, err = run_cli(
+        capsys, ["run", "--chain", "matrix", "--matrix-file", str(path), "--n", "100000"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot load matrix chain")
+    assert "finite" in err
+
+
+def test_non_finite_mu_file_exits_two(tmp_path, capsys):
+    mu = tmp_path / "mu.txt"
+    mu.write_text("nan\n-0.5\n1.5\n")
+    code, out, err = run_cli(
+        capsys, ["run", "--chain", "line", "--size", "3", "--n", "20000", "--mu-file", str(mu)]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: invalid pmf")
+
+
 # ---------------------------------------------------------------------------
 # coverage subcommand
 # ---------------------------------------------------------------------------
@@ -291,7 +313,7 @@ def test_tables_smoke(capsys):
     )
     assert code == 0
     assert out.count("===") >= 6  # five instance blocks plus the frequency table
-    assert "n/a (external baseline)" in out
+    assert "baseline" not in out
     assert "line walk |S|=20 p=0.5" in out
     assert "regular graph |S|=100 d=10" in out
     assert "exact lambda_star=0.993844" in out
