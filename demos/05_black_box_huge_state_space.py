@@ -41,7 +41,7 @@ print(f"|S| = {SIZE:,}; budget 1e6 -> I={cfg.num_paths}, K={cfg.max_path_length}
 
 tracemalloc.start()
 started = time.perf_counter()
-engine = RtfEngine(chain, UniformSampler(SIZE), cfg, master_seed=0, worker_count=4)
+engine = RtfEngine(chain, UniformSampler(SIZE), cfg, master_seed=0)
 estimate = finalize_estimate(rtf_collect(engine), cfg)
 elapsed = time.perf_counter() - started
 _, peak = tracemalloc.get_traced_memory()

@@ -322,13 +322,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         summary["wall_time_seconds"] = report.wall_time_seconds
     return {
         "spec": spec,
-        "parameters": {
-            "state_space_size": report.config.state_space_size,
-            "num_paths": report.config.num_paths,
-            "max_path_length": report.config.max_path_length,
-            "confidence": report.config.confidence,
-            "guaranteed": report.guaranteed,
-        },
+        "parameters": {**dataclasses.asdict(report.config), "guaranteed": report.guaranteed},
         "exact": (
             None
             if report.exact_lambda_star is None

@@ -10,8 +10,10 @@ Randomness discipline: path j draws from the Philox stream with key
 (master_seed, j) starting at counter 0, so the collected counts are a pure
 function of (master_seed, config, chain) - independent of worker count,
 scheduling, and whether the chain is stepped scalar or vectorized.  Paths
-are processed in fixed-size blocks; workers only decide who runs which
-block.  Each block owns one Philox generator and resets its key and counter
+are processed in fixed-size blocks added up in block order; workers only
+decide who runs which block.  ``worker_count > 1`` runs blocks in threads,
+which pays only for heavy kernels, and a failure cancels the blocks not yet
+started.  Each block owns one Philox generator and resets its key and counter
 for every path instead of building a generator per path.  The ``rng``
 handed to ``InitialSampler.sample`` and ``TransitionOracle.next_state`` is
 therefore valid only while that path runs and must not be kept.
@@ -19,9 +21,11 @@ therefore valid only while that path runs and must not be kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -125,32 +129,40 @@ class RtfEngine:
             raise ValueError("worker_count must be >= 1")
 
 
-def _draw_block(initial, ups, K, master_seed, start, stop):
+def _draw_block(engine, start, stop):
     """Start states and per-path uniforms of paths start..stop-1, one row each."""
-    streams = _PathStreams(master_seed)
+    K, ups = engine.config.max_path_length, engine.oracle.uniforms_per_step
+    streams = _PathStreams(engine.master_seed)
     x0 = np.empty(stop - start, dtype=np.int64)
     uniforms = np.empty((stop - start, K * ups))
     for j in range(stop - start):
         rng = streams(start + j)
-        x0[j] = initial.sample(rng)
+        x0[j] = engine.initial.sample(rng)
         rng.random(out=uniforms[j])
     return x0, uniforms
 
 
 def _step_block(oracle, x0, uniforms, K):
-    """Yield the block's states after steps 1..K of the vectorized kernel."""
+    """Yield the block's states after steps 1..K; each step must give one int per path."""
     ups = uniforms.shape[1] // K
-    xs = x0.copy()
+    xs = x0.copy()  # a kernel may write into its input
     for k in range(K):
         xs = np.asarray(oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
+        if xs.shape != x0.shape or xs.dtype.kind not in "iu":
+            raise TypeError(
+                f"step_with_uniforms returned {xs.dtype} of shape {xs.shape}, "
+                f"expected integer states of shape {x0.shape}"
+            )
         yield xs
 
 
-def _collect_block_vectorized(oracle, initial, K, master_seed, start, stop, acc, weight):
+def _collect_block_vectorized(engine, empty, weight, start, stop):
+    acc = empty.copy()
+    K = engine.config.max_path_length
     # All or nothing: a failure anywhere in the block commits none of its paths.
     try:
-        x0, uniforms = _draw_block(initial, oracle.uniforms_per_step, K, master_seed, start, stop)
-        steps = _step_block(oracle, x0, uniforms, K)
+        x0, uniforms = _draw_block(engine, start, stop)
+        steps = _step_block(engine.oracle, x0, uniforms, K)
         if weight is None:
             counts = np.fromiter((np.count_nonzero(xs == x0) for xs in steps), np.int64, K)
         else:
@@ -165,16 +177,19 @@ def _collect_block_vectorized(oracle, initial, K, master_seed, start, stop, acc,
     return acc
 
 
-def _collect_block_scalar(oracle, initial, K, master_seed, start, stop, acc, weight):
+def _collect_block_scalar(engine, empty, weight, start, stop):
+    acc = empty.copy()
+    next_state, sample = engine.oracle.next_state, engine.initial.sample
+    K = engine.config.max_path_length
     returns = np.empty(K, dtype=bool)
-    streams = _PathStreams(master_seed)
+    streams = _PathStreams(engine.master_seed)
     for j in range(start, stop):
         rng = streams(j)
         try:
-            x = x0 = initial.sample(rng)
+            x = x0 = sample(rng)
             w = None if weight is None else weight(x0)
             for k in range(K):
-                x = oracle.next_state(x, rng)
+                x = next_state(x, rng)
                 returns[k] = x == x0
         except Exception as exc:
             raise CollectionError(
@@ -186,60 +201,36 @@ def _collect_block_scalar(oracle, initial, K, master_seed, start, stop, acc, wei
     return acc
 
 
-def _block_ranges(num_paths: int):
-    return [(s, min(s + BLOCK_SIZE, num_paths)) for s in range(0, num_paths, BLOCK_SIZE)]
-
-
-def _run_blocks(num_paths: int, worker_count: int, block_fn: Callable):
-    """Run `block_fn(start, stop)` over fixed blocks and merge them in block order.
-
-    On a `CollectionError` the error is re-raised with `partial` holding the
-    merge of every block before the failing one plus that block's partial.
-    """
-    ranges = _block_ranges(num_paths)
-    results = []
-    try:
-        if worker_count == 1 or len(ranges) == 1:
-            for start, stop in ranges:
-                results.append(block_fn(start, stop))
-        else:
-            with ThreadPoolExecutor(max_workers=worker_count) as pool:
-                futures = [pool.submit(block_fn, start, stop) for start, stop in ranges]
-                for fut in futures:
-                    results.append(fut.result())
-    except CollectionError as exc:
-        partial = _merge_ordered(results + [exc.partial])
-        raise CollectionError(str(exc), partial=partial) from exc.__cause__
-    return _merge_ordered(results)
-
-
-def _merge_ordered(accs):
-    if not accs:
-        raise ValueError("nothing to merge")
-    out = accs[0].copy()
-    for acc in accs[1:]:
-        out.counts = out.counts + acc.counts
-        out.paths_completed += acc.paths_completed
-    return out
+def _add(total: ReturnCountAccumulator, acc: ReturnCountAccumulator) -> ReturnCountAccumulator:
+    """Add ``acc`` into ``total`` and return ``total``."""
+    total.counts = total.counts + acc.counts
+    total.paths_completed += acc.paths_completed
+    return total
 
 
 def _collect(engine: RtfEngine, empty: ReturnCountAccumulator, weight=None):
-    """Run ``engine`` into copies of the ``empty`` accumulator, one per block.
+    """Run ``engine``'s blocks into copies of ``empty`` and add them in block order.
 
     A path adds 1 to ``counts[k-1]`` when it is back at its start x0 after k
     steps, or ``weight(x0)`` when a weight is given; a raising ``weight``
-    fails the path like a raising simulator.
+    fails the path like a raising simulator.  A ``CollectionError``'s
+    ``partial`` holds the blocks before the failing one plus its own partial.
     """
-    K = engine.config.max_path_length
     vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
-    collect_block = _collect_block_vectorized if vectorized else _collect_block_scalar
-
-    def block_fn(start, stop):
-        return collect_block(
-            engine.oracle, engine.initial, K, engine.master_seed, start, stop, empty.copy(), weight
-        )
-
-    return _run_blocks(engine.config.num_paths, engine.worker_count, block_fn)
+    block = functools.partial(
+        _collect_block_vectorized if vectorized else _collect_block_scalar, engine, empty, weight
+    )
+    starts = range(0, engine.config.num_paths, BLOCK_SIZE)
+    stops = [*starts[1:], engine.config.num_paths]
+    total = empty.copy()
+    serial = engine.worker_count == 1
+    with nullcontext() if serial else ThreadPoolExecutor(engine.worker_count) as pool:
+        try:
+            for acc in (map if serial else pool.map)(block, starts, stops):
+                _add(total, acc)
+        except CollectionError as exc:
+            raise CollectionError(str(exc), partial=_add(total, exc.partial)) from exc.__cause__
+    return total
 
 
 def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
@@ -275,7 +266,7 @@ def merge_accumulators(accumulators: Iterable[ReturnCountAccumulator]) -> Return
             raise ValueError("cannot merge weighted and unweighted accumulators")
         if other != w_max:
             raise ValueError(f"cannot merge accumulators with w_max {w_max} and {other}")
-    return _merge_ordered(accs)
+    return functools.reduce(_add, accs[1:], accs[0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +414,9 @@ def trajectory_from_oracle(
     """Stream a single trajectory X_0 = start_state, X_1, ... from the oracle."""
     rng = path_rng(master_seed, TRAJECTORY_STREAM_KEY)
     x = start_state
-    counter = itertools.count() if max_steps is None else range(max_steps)
-    for i in counter:
-        if i == 0:
-            yield x
-            continue
+    if max_steps is None or max_steps > 0:
+        yield x
+    for _ in itertools.count() if max_steps is None else range(max_steps - 1):
         x = oracle.next_state(x, rng)
         yield x
 

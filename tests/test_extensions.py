@@ -391,3 +391,20 @@ def test_weighted_worker_counts_agree():
     base = weighted_collect(chain, mu, cfg, master_seed=4, worker_count=1)
     many = weighted_collect(chain, mu, cfg, master_seed=4, worker_count=8)
     assert np.array_equal(base.scaled_counts, many.scaled_counts)
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+def test_weighted_sums_identical_across_worker_counts(scalar):
+    # A non-dyadic pmf makes every weight inexact, so summation order would show.
+    chain = BiasedLineChain(20, 0.7)
+    weights = np.random.default_rng(8).random(20) + 0.1
+    mu = TabularSampler(weights / weights.sum())
+    cfg = UcpiConfig(20, 3 * BLOCK_SIZE + 77, 6, 0.05)  # ragged last block
+    oracle = CallCounter(chain) if scalar else chain
+    sums = [
+        weighted_collect(oracle, mu, cfg, master_seed=4, worker_count=workers).scaled_counts
+        for workers in (1, 2, 3)
+    ]
+    assert sums[0].dtype == np.float64 and sums[0].any()
+    assert np.array_equal(sums[0], sums[1])
+    assert np.array_equal(sums[0], sums[2])

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +100,38 @@ class SamplerFailsAfter:
 
     def min_pmf(self):
         return self.inner.min_pmf()
+
+
+class SamplerFailsOnce(SamplerFailsAfter):
+    """Raises on draw `limit + 1` only; counts draws under a lock, as threads share it."""
+
+    def __init__(self, size, limit):
+        super().__init__(size, limit)
+        self.lock = threading.Lock()
+
+    def sample(self, rng):
+        with self.lock:
+            self.draws += 1
+            fail = self.draws == self.limit + 1
+        if fail:
+            raise RuntimeError("sampler boom")
+        return self.inner.sample(rng)
+
+
+class KernelReturns:
+    """Line-walk kernel whose output goes through `mangle` before the engine sees it."""
+
+    uniforms_per_step = 1
+
+    def __init__(self, mangle):
+        self.inner = BiasedLineChain(20, 0.7)
+        self.mangle = mangle
+
+    def state_space_size(self):
+        return 20
+
+    def step_with_uniforms(self, xs, us):
+        return self.mangle(self.inner.step_with_uniforms(xs, us))
 
 
 def make_engine(chain, cfg, seed, workers=1):
@@ -232,6 +265,39 @@ def test_scalar_sampler_failure_raises_collection_error(workers):
     assert np.all(partial.counts <= partial.paths_completed)
     clean = rtf_collect(make_engine(chain, UcpiConfig(20, partial.paths_completed, K, 0.1), 5))
     assert np.array_equal(partial.counts, clean.counts)
+
+
+def test_failure_cancels_blocks_not_yet_started():
+    blocks = 50
+    sampler = SamplerFailsOnce(20, limit=9)  # fails inside block 0 or 1
+    cfg = UcpiConfig(20, blocks * BLOCK_SIZE, 1, 0.1)
+    with pytest.raises(CollectionError) as exc_info:
+        rtf_collect(RtfEngine(BiasedLineChain(20, 0.7), sampler, cfg, 5, worker_count=2))
+    assert str(exc_info.value.__cause__) == "sampler boom"
+    # Fewer than half of the blocks drew any start: the rest were cancelled.
+    assert sampler.draws < blocks // 2 * BLOCK_SIZE
+    partial = exc_info.value.partial
+    assert partial.paths_completed in (0, BLOCK_SIZE)
+    assert np.all(partial.counts <= partial.paths_completed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "mangle, shape, dtype",
+    [
+        (lambda xs: xs[:, None], (BLOCK_SIZE, 1), "int64"),  # would broadcast against x0
+        (lambda xs: xs + 0.5, (BLOCK_SIZE,), "float64"),  # never equals a start
+    ],
+    ids=["column", "float"],
+)
+def test_bad_kernel_output_raises_collection_error(mangle, shape, dtype, workers):
+    cfg = UcpiConfig(20, 2000, 4, 0.1)
+    with pytest.raises(CollectionError, match="block of paths 0..1023") as exc_info:
+        rtf_collect(make_engine(KernelReturns(mangle), cfg, 5, workers=workers))
+    assert isinstance(exc_info.value.__cause__, TypeError)
+    assert f"{dtype} of shape {shape}" in str(exc_info.value)
+    assert exc_info.value.partial.paths_completed == 0
+    assert not exc_info.value.partial.counts.any()
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +503,11 @@ def test_trajectory_from_oracle_is_reproducible():
     assert a == b
     assert a[0] == 2
     assert len(a) == 100
+
+
+def test_trajectory_from_oracle_steps_once_per_state_after_the_first():
+    oracle = CountingOracle(BiasedLineChain(6, 0.6))
+    states = list(trajectory_from_oracle(oracle, 2, master_seed=5, max_steps=100))
+    assert len(states) == 100
+    assert oracle.calls == 99
+    assert list(trajectory_from_oracle(oracle, 2, master_seed=5, max_steps=0)) == []
