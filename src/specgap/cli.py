@@ -37,7 +37,7 @@ from .chains import (
 )
 from .estimator import (
     UcpiConfig,
-    default_parameters,
+    config_for_budget,
     finalize_estimate,
     relaxation_upper_bound,
     validity_check,
@@ -156,26 +156,19 @@ def resolve_config(spec: ExperimentSpec, state_space_size: int) -> UcpiConfig:
     """Apply the default budget split, then any explicit overrides."""
     if spec.n < 16:
         raise ConfigError("--n must be >= 16")
+    if spec.nonlazy and spec.n < 32:
+        raise ConfigError("--n must be >= 32 with --nonlazy")
     budget = spec.n // 2 if spec.nonlazy else spec.n  # two one-step calls per squared step
-    params = default_parameters(budget)
-    num_paths = spec.num_paths if spec.num_paths is not None else params.num_paths
-    max_len = spec.max_path_length if spec.max_path_length is not None else params.max_path_length
-    confidence = spec.confidence if spec.confidence is not None else params.confidence
+    names = ("num_paths", "max_path_length", "confidence")
+    overrides = {name: getattr(spec, name) for name in names if getattr(spec, name) is not None}
     try:
-        return UcpiConfig(
-            state_space_size=state_space_size,
-            num_paths=num_paths,
-            max_path_length=max_len,
-            confidence=confidence,
-        )
+        return dataclasses.replace(config_for_budget(budget, state_space_size), **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _exact_values(chain, nonlazy: bool):
-    """(lambda_star, t_r, skip_reason): exact targets when the chain is enumerable."""
-    if not hasattr(chain, "transition_matrix"):
-        return None, None, "chain is not enumerable"
+    """(lambda_star, t_r, skip_reason): exact targets when the chain is reversible."""
     try:
         spectrum = exact_spectrum(chain)
     except ValueError as exc:
@@ -201,60 +194,45 @@ def _load_mu_sampler(path, state_space_size):
         raise ConfigError(f"invalid pmf: {exc}") from exc
 
 
-def _run_rtf_trial(spec, chain, cfg, trial_index) -> TrialResult:
+def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
+    """Collect return counts under the spec's model, finalize them, report the trial."""
     master = _trial_master_seed(spec.seed, trial_index)
-    oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
-    n_states = chain.state_space_size()
-    if spec.mu_file is not None:
-        sampler = _load_mu_sampler(spec.mu_file, n_states)
-        acc = weighted_collect(oracle, sampler, cfg, master, worker_count=spec.workers)
+    usp_fields = {}
+    if spec.model == "usp":
+        if spec.usp_path is not None:
+            source = states_from_file(spec.usp_path, max_steps=spec.n)
+        else:
+            source = trajectory_from_oracle(chain, start_state=0, master_seed=master, max_steps=spec.n)
+        engine = UspEngine(source, cfg.max_path_length, sampler, master)
+        try:
+            acc = usp_collect(engine, num_segments=cfg.num_paths)
+        except (OSError, ValueError) as exc:
+            # The trace file is opened and parsed lazily, while segments are extracted.
+            if spec.usp_path is None:
+                raise
+            raise ConfigError(f"cannot read trajectory file: {exc}") from exc
+        oracle_calls = engine.stats.source_steps_consumed
+        usp_fields = {"segments": acc.paths_completed, "mean_wait": engine.stats.mean_wait}
     else:
-        engine = RtfEngine(oracle, UniformSampler(n_states), cfg, master, worker_count=spec.workers)
-        acc = rtf_collect(engine)
-    est = finalize_estimate(acc, cfg)
+        oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
+        if spec.mu_file is not None:
+            acc = weighted_collect(oracle, sampler, cfg, master, worker_count=spec.workers)
+        else:
+            acc = rtf_collect(RtfEngine(oracle, sampler, cfg, master, worker_count=spec.workers))
+        oracle_calls = cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1)
+    if acc.paths_completed == 0:  # no segment completed: the uninformative answer
+        raw_ell_star, argmin_k = 1.0, 0
+    else:
+        est = finalize_estimate(acc, dataclasses.replace(cfg, num_paths=acc.paths_completed))
+        raw_ell_star, argmin_k = est.ell_star, est.argmin_k
     # The two-step chain bounds the squared spectral radius.
-    ell_star = math.sqrt(est.ell_star) if spec.nonlazy else est.ell_star
+    ell_star = math.sqrt(raw_ell_star) if spec.nonlazy else raw_ell_star
     return TrialResult(
         trial=trial_index, seed=master, ell_star=ell_star,
-        t_r_upper=relaxation_upper_bound(ell_star), argmin_k=est.argmin_k,
+        t_r_upper=relaxation_upper_bound(ell_star), argmin_k=argmin_k,
         informative=ell_star < 1.0,
-        oracle_calls=cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1),
-        raw_ell_star=est.ell_star if spec.nonlazy else None,
-    )
-
-
-def _run_usp_trial(spec, chain, cfg, trial_index) -> TrialResult:
-    master = _trial_master_seed(spec.seed, trial_index)
-    if spec.usp_path is not None:
-        source = states_from_file(spec.usp_path, max_steps=spec.n)
-    else:
-        source = trajectory_from_oracle(chain, start_state=0, master_seed=master, max_steps=spec.n)
-    engine = UspEngine(
-        source=source,
-        segment_length=cfg.max_path_length,
-        target_sampler=UniformSampler(chain.state_space_size()),
-        master_seed=master,
-    )
-    try:
-        acc = usp_collect(engine, num_segments=cfg.num_paths)
-    except (OSError, ValueError) as exc:
-        # The trace file is opened and parsed lazily, while segments are extracted.
-        if spec.usp_path is None:
-            raise
-        raise ConfigError(f"cannot read trajectory file: {exc}") from exc
-    if acc.paths_completed == 0:
-        return TrialResult(
-            trial=trial_index, seed=master, ell_star=1.0, t_r_upper=math.inf,
-            argmin_k=0, informative=False, oracle_calls=engine.stats.source_steps_consumed,
-            segments=0, mean_wait=math.nan,
-        )
-    effective = dataclasses.replace(cfg, num_paths=acc.paths_completed)
-    est = finalize_estimate(acc, effective)
-    return TrialResult(
-        trial=trial_index, seed=master, ell_star=est.ell_star, t_r_upper=est.relaxation_upper,
-        argmin_k=est.argmin_k, informative=est.informative,
-        oracle_calls=engine.stats.source_steps_consumed,
-        segments=acc.paths_completed, mean_wait=engine.stats.mean_wait,
+        oracle_calls=oracle_calls,
+        raw_ell_star=raw_ell_star if spec.nonlazy else None, **usp_fields,
     )
 
 
@@ -269,16 +247,16 @@ def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> Experiment
     if spec.model == "usp" and (spec.nonlazy or spec.mu_file):
         raise ConfigError("--nonlazy and --mu-file require the fresh-path model (rtf)")
     chain = build_chain(spec)
-    cfg = resolve_config(spec, chain.state_space_size())
+    n_states = chain.state_space_size()
+    cfg = resolve_config(spec, n_states)
+    if spec.mu_file is None:
+        sampler = UniformSampler(n_states)
+    else:
+        sampler = _load_mu_sampler(spec.mu_file, n_states)
     lam_star, t_r, skip = _exact_values(chain, spec.nonlazy)
 
     started = time.perf_counter()
-    trials = []
-    for i in range(spec.trials):
-        if spec.model == "rtf":
-            trials.append(_run_rtf_trial(spec, chain, cfg, i))
-        else:
-            trials.append(_run_usp_trial(spec, chain, cfg, i))
+    trials = [_run_trial(spec, chain, cfg, sampler, i) for i in range(spec.trials)]
     elapsed = time.perf_counter() - started
 
     return ExperimentReport(
@@ -401,13 +379,14 @@ def reproduce_tables(max_n: int, trials: int, seed: int, graph_seed: int, worker
     freq_rows = []
     for kind, params, label in instances:
         spec0 = ExperimentSpec(chain=kind, seed=seed, workers=workers, **params)
-        chain = build_chain(spec0)
-        lam_star, t_r, _ = _exact_values(chain, nonlazy=False)
-        lines = [f"=== {label}: exact lambda_star={lam_star:.6f}, t_r={t_r:.4g} ==="]
+        reports = [run_experiment(dataclasses.replace(spec0, n=n), with_timing=False) for n in budgets]
+        first = reports[0]
+        lines = [
+            f"=== {label}: exact lambda_star={first.exact_lambda_star:.6f}, "
+            f"t_r={first.exact_relaxation:.4g} ==="
+        ]
         lines.append(f"{'n':>10} {'est bound':>12} {'est t_r':>10}")
-        for n in budgets:
-            spec = dataclasses.replace(spec0, n=n, trials=1)
-            report = run_experiment(spec, with_timing=False)
+        for n, report in zip(budgets, reports):
             t = report.trials[0]
             lines.append(f"{n:>10} {t.ell_star:>12.6f} {t.t_r_upper:>10.4g}")
         blocks.append("\n".join(lines))

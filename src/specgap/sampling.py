@@ -17,6 +17,10 @@ started.  Each block owns one Philox generator and resets its key and counter
 for every path instead of building a generator per path.  The ``rng``
 handed to ``InitialSampler.sample`` and ``TransitionOracle.next_state`` is
 therefore valid only while that path runs and must not be kept.
+
+Each path's start state and its state after step K must be integers in
+[0, |S|); one that is not raises ``CollectionError`` as a raising
+simulator does.  The states in between are not checked.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -129,6 +134,13 @@ class RtfEngine:
             raise ValueError("worker_count must be >= 1")
 
 
+def _check_range(states, n, what):
+    """Raise ValueError unless every one of the integer ``states`` lies in [0, n)."""
+    lo, hi = states.min(), states.max()
+    if lo < 0 or hi >= n:
+        raise ValueError(f"{what} {lo if lo < 0 else hi} outside [0, {n})")
+
+
 def _draw_block(engine, start, stop):
     """Start states and per-path uniforms of paths start..stop-1, one row each."""
     K, ups = engine.config.max_path_length, engine.oracle.uniforms_per_step
@@ -137,13 +149,18 @@ def _draw_block(engine, start, stop):
     uniforms = np.empty((stop - start, K * ups))
     for j in range(stop - start):
         rng = streams(start + j)
-        x0[j] = engine.initial.sample(rng)
+        x0[j] = operator.index(engine.initial.sample(rng))
         rng.random(out=uniforms[j])
+    _check_range(x0, engine.config.state_space_size, "start state")
     return x0, uniforms
 
 
-def _step_block(oracle, x0, uniforms, K):
-    """Yield the block's states after steps 1..K; each step must give one int per path."""
+def _step_block(oracle, x0, uniforms, K, n):
+    """Yield the block's states after steps 1..K; each step must give one int per path.
+
+    The states after step K must lie in [0, n).  They are checked before the
+    last yield, because the consumer stops pulling after K states.
+    """
     ups = uniforms.shape[1] // K
     xs = x0.copy()  # a kernel may write into its input
     for k in range(K):
@@ -153,6 +170,8 @@ def _step_block(oracle, x0, uniforms, K):
                 f"step_with_uniforms returned {xs.dtype} of shape {xs.shape}, "
                 f"expected integer states of shape {x0.shape}"
             )
+        if k == K - 1:
+            _check_range(xs, n, "final state")
         yield xs
 
 
@@ -162,7 +181,7 @@ def _collect_block_vectorized(engine, empty, weight, start, stop):
     # All or nothing: a failure anywhere in the block commits none of its paths.
     try:
         x0, uniforms = _draw_block(engine, start, stop)
-        steps = _step_block(engine.oracle, x0, uniforms, K)
+        steps = _step_block(engine.oracle, x0, uniforms, K, engine.config.state_space_size)
         if weight is None:
             counts = np.fromiter((np.count_nonzero(xs == x0) for xs in steps), np.int64, K)
         else:
@@ -180,17 +199,21 @@ def _collect_block_vectorized(engine, empty, weight, start, stop):
 def _collect_block_scalar(engine, empty, weight, start, stop):
     acc = empty.copy()
     next_state, sample = engine.oracle.next_state, engine.initial.sample
-    K = engine.config.max_path_length
+    K, n = engine.config.max_path_length, engine.config.state_space_size
     returns = np.empty(K, dtype=bool)
     streams = _PathStreams(engine.master_seed)
     for j in range(start, stop):
         rng = streams(j)
         try:
-            x = x0 = sample(rng)
+            x = x0 = operator.index(sample(rng))
+            if not 0 <= x0 < n:
+                raise ValueError(f"start state {x0} outside [0, {n})")
             w = None if weight is None else weight(x0)
             for k in range(K):
                 x = next_state(x, rng)
                 returns[k] = x == x0
+            if not 0 <= operator.index(x) < n:
+                raise ValueError(f"final state {x} outside [0, {n})")
         except Exception as exc:
             raise CollectionError(
                 f"simulator failed on path {j}: {exc}", partial=acc

@@ -206,12 +206,15 @@ def test_run_mu_file(tmp_path, capsys):
         ["run", "--chain", "line", "--model", "usp", "--nonlazy", "--n", "20000"],
         ["run", "--chain", "line", "--n", "20000", "--trials", "0"],
         ["coverage", "--chain", "line", "--n", "20000", "--trials", "10"],
+        ["run", "--chain", "line", "--nonlazy", "--n", "20"],  # 10 two-step transitions
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert "configuration error" in err
+    if "--nonlazy" in argv:
+        assert "--nonlazy" in err
 
 
 @pytest.mark.parametrize("content", [None, "0\n1\nx\n2\n"])
@@ -391,3 +394,62 @@ def test_run_golden_report(tmp_path, capsys, mode, fmt):
     assert code == 0 and err == ""
     out = out.replace(str(mu), "mu.txt")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[mode, fmt]
+
+
+# ---------------------------------------------------------------------------
+# golden reports: the single-trajectory model, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+USP_ARGV = ["run", "--chain", "line", "--size", "8", "--p", "0.7", "--model", "usp",
+            "--n", "100000", "--trials", "2", "--seed", "3", "--no-timing"]
+
+# SHA-256 of the report, with the --usp-path path replaced by "trace.txt".
+# "oracle" simulates the trajectory; "file" reads a seeded trace of 8 states;
+# "outside" reads a trace whose every state is 50, so no segment completes.
+GOLDEN_USP_REPORTS = {
+    ("oracle", "json"):
+        "eab61c00e8e528f3a68c5b3de341d299177293dd141be1b2d807f3b76c36c046",
+    ("oracle", "csv"):
+        "a6c000755d17cb2cfc761cf624c6f8a2e8f062b247bd89945d320c8f008a045e",
+    ("file", "json"):
+        "931663e61a7eb8f4d970a95555aada9baf4165f2dacfeb418dda80396227d060",
+    ("file", "csv"):
+        "f415588988394041469d8225070de60291e423c637a8b2addd51a2664ecdd658",
+    ("outside", "json"):
+        "14f165282ef683593816b5d8d4713aab12b67bc2e39b54e20c0a6c098423f3d0",
+    ("outside", "csv"):
+        "238d1b0b62252e04adaa3be2c3e09a5d63dee34cfba9767e24e2abf9ceef219b",
+}
+
+
+def write_usp_trace(path, source):
+    if source == "file":
+        states = np.random.default_rng(11).integers(0, 8, size=60_000)
+    else:
+        states = np.full(5_000, 50)
+    path.write_text("".join(f"{int(x)}\n" for x in states))
+
+
+@pytest.mark.parametrize("source, fmt", sorted(GOLDEN_USP_REPORTS))
+def test_run_golden_usp_report(tmp_path, capsys, source, fmt):
+    flags = []
+    trace = tmp_path / "trace.txt"
+    if source != "oracle":
+        write_usp_trace(trace, source)
+        flags = ["--usp-path", str(trace)]
+    code, out, err = run_cli(capsys, USP_ARGV + flags + ["--format", fmt])
+    assert code == 0 and err == ""
+    out = out.replace(str(trace), "trace.txt")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_USP_REPORTS[source, fmt]
+
+
+def test_usp_trace_outside_the_chain_is_uninformative(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    write_usp_trace(trace, "outside")
+    code, out, _ = run_cli(capsys, USP_ARGV + ["--usp-path", str(trace), "--format", "json"])
+    assert code == 0
+    for trial in json.loads(out)["trials"]:
+        assert trial["ell_star"] == 1.0 and trial["t_r_upper"] == "inf"
+        assert trial["segments"] == 0 and trial["argmin_k"] == 0
+        assert trial["informative"] is False
+        assert trial["oracle_calls"] == 5_000

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgap.estimator import (
+    CB_TOLERANCE,
     ReturnCountAccumulator,
     UcpiConfig,
     bernoulli_kl,
@@ -153,6 +156,58 @@ def test_cb_is_a_valid_upper_confidence_bound():
 def test_cb_domain_errors(m, I, delta):
     with pytest.raises(ValueError):
         confidence_upper_bound(m, I, delta)
+
+
+# Properties of the KL upper confidence bound (Garivier & Cappe, "The KL-UCB
+# algorithm", COLT 2011) on reachable inputs: m = c/I for c returns out of I
+# paths.  The root finder's tolerance is absolute in u, so comparisons allow
+# CB_TOLERANCE and the root is bracketed in u, not checked as a residual.
+DELTAS = st.floats(1e-12, 0.9)
+
+
+@st.composite
+def counts_and_paths(draw, max_paths=10**7):
+    num_paths = draw(st.integers(1, max_paths))
+    return draw(st.integers(0, num_paths)), num_paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_and_paths(), DELTAS)
+def test_cb_property_dominates_mean(case, delta):
+    c, num_paths = case
+    assert confidence_upper_bound(c / num_paths, num_paths, delta) >= c / num_paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_and_paths(), DELTAS)
+def test_cb_property_nondecreasing_in_count(case, delta):
+    c, num_paths = case
+    c = min(c, num_paths - 1)
+    lower = confidence_upper_bound(c / num_paths, num_paths, delta)
+    assert confidence_upper_bound((c + 1) / num_paths, num_paths, delta) >= lower - CB_TOLERANCE
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_and_paths(max_paths=10**6), st.integers(2, 10), DELTAS)
+def test_cb_property_nonincreasing_in_paths_at_fixed_mean(case, factor, delta):
+    c, num_paths = case
+    m = c / num_paths
+    assert (factor * c) / (factor * num_paths) == m
+    more = confidence_upper_bound(m, factor * num_paths, delta)
+    assert more <= confidence_upper_bound(m, num_paths, delta) + CB_TOLERANCE
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_and_paths(), DELTAS)
+def test_cb_property_brackets_the_kl_root(case, delta):
+    c, num_paths = case
+    m = c / num_paths
+    u = confidence_upper_bound(m, num_paths, delta)
+    if u < 1.0:
+        def excess(v):
+            return num_paths * bernoulli_kl(m, v) - math.log(1.0 / delta)
+
+        assert excess(u - 2e-12) <= 0.0 <= excess(min(u + 2e-12, 1.0))
 
 
 # ---------------------------------------------------------------------------

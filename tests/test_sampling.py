@@ -134,6 +134,29 @@ class KernelReturns:
         return self.mangle(self.inner.step_with_uniforms(xs, us))
 
 
+class ScalarReturns(ScalarOnly):
+    """Scalar-only line walk whose next state goes through `mangle` before the engine sees it."""
+
+    def __init__(self, mangle):
+        super().__init__(BiasedLineChain(20, 0.7))
+        self.mangle = mangle
+
+    def next_state(self, x, rng):
+        return self.mangle(super().next_state(x, rng))
+
+
+class SamplerLeavesAfter(SamplerFailsAfter):
+    """Uniform sampler that returns `state` once it has drawn `limit` starts."""
+
+    def __init__(self, size, limit, state):
+        super().__init__(size, limit)
+        self.state = state
+
+    def sample(self, rng):
+        self.draws += 1
+        return self.state if self.draws > self.limit else self.inner.sample(rng)
+
+
 def make_engine(chain, cfg, seed, workers=1):
     return RtfEngine(chain, UniformSampler(chain.state_space_size()), cfg, seed, workers)
 
@@ -298,6 +321,46 @@ def test_bad_kernel_output_raises_collection_error(mangle, shape, dtype, workers
     assert f"{dtype} of shape {shape}" in str(exc_info.value)
     assert exc_info.value.partial.paths_completed == 0
     assert not exc_info.value.partial.counts.any()
+
+
+OUT_OF_RANGE = {
+    # id: (oracle, start sampler, paths completed before the failure at workers=1, message)
+    "scalar-half": (
+        lambda: ScalarReturns(lambda x: x + 0.5), lambda: UniformSampler(20), 0,
+        "cannot be interpreted as an integer",
+    ),
+    "scalar-plus-100": (
+        lambda: ScalarReturns(lambda x: x + 100), lambda: UniformSampler(20), 0,
+        r"final state \d+ outside \[0, 20\)",
+    ),
+    "kernel-plus-100": (
+        lambda: KernelReturns(lambda xs: xs + 100), lambda: UniformSampler(20), 0,
+        r"final state \d+ outside \[0, 20\)",
+    ),
+    "sampler-25": (
+        lambda: BiasedLineChain(20, 0.7), lambda: SamplerLeavesAfter(20, 1500, 25), BLOCK_SIZE,
+        r"start state 25 outside \[0, 20\)",
+    ),
+    "sampler-25-scalar": (
+        lambda: ScalarOnly(BiasedLineChain(20, 0.7)), lambda: SamplerLeavesAfter(20, 1500, 25),
+        1500, r"start state 25 outside \[0, 20\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_states_raise_collection_error(case, workers):
+    make_oracle, make_sampler, completed, message = OUT_OF_RANGE[case]
+    cfg = UcpiConfig(20, 3000, 5, 0.1)
+    engine = RtfEngine(make_oracle(), make_sampler(), cfg, 5, workers)
+    with pytest.raises(CollectionError, match=message) as exc_info:
+        rtf_collect(engine)
+    assert isinstance(exc_info.value.__cause__, (TypeError, ValueError))
+    partial = exc_info.value.partial
+    assert np.all(partial.counts <= partial.paths_completed)
+    if workers == 1:
+        assert partial.paths_completed == completed
 
 
 # ---------------------------------------------------------------------------
