@@ -18,7 +18,6 @@ from .chains import (
     load_matrix_chain,
     return_probability_curve,
     save_matrix_chain,
-    trace_of_power,
 )
 from .estimator import (
     ReturnCountAccumulator,
@@ -28,7 +27,6 @@ from .estimator import (
     bernoulli_kl,
     confidence_upper_bound,
     config_for_budget,
-    default_parameters,
     finalize_estimate,
     plugin_bound,
     relaxation_upper_bound,

@@ -30,7 +30,6 @@ __all__ = [
     "DenseMatrixChain",
     "line_stationary",
     "exact_spectrum",
-    "trace_of_power",
     "return_probability_curve",
     "generate_regular_graph",
     "load_matrix_chain",
@@ -219,19 +218,6 @@ class RegularGraphChain:
             P[x, self.neighbors[x]] += half_over_d
         return P
 
-    def edges(self) -> list[tuple[int, int]]:
-        pairs = set()
-        for x in range(self.size):
-            for y in self.neighbors[x]:
-                pairs.add((min(x, int(y)), max(x, int(y))))
-        return sorted(pairs)
-
-    def save_edges(self, path) -> None:
-        """Write the edge list, one 0-based 'u v' pair per line."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for u, v in self.edges():
-                fh.write(f"{u} {v}\n")
-
 
 class DenseMatrixChain:
     """Chain defined by an explicit row-stochastic matrix (verification fixture).
@@ -334,15 +320,6 @@ def exact_spectrum(chain) -> np.ndarray:
     if abs(eigenvalues[0] - 1.0) > 1e-8:
         raise ValueError(f"leading eigenvalue is {eigenvalues[0]}, expected 1")
     return eigenvalues
-
-
-def trace_of_power(chain, k: int) -> float:
-    """Trace of the k-th power of the transition matrix."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    P = chain.transition_matrix()
-    _check_desk_scale(len(P))
-    return float(np.trace(np.linalg.matrix_power(P, k)))
 
 
 def return_probability_curve(chain, max_k: int) -> np.ndarray:
@@ -453,7 +430,7 @@ def generate_regular_graph(size: int, degree: int, seed: int) -> RegularGraphCha
 
 
 def load_matrix_chain(path) -> DenseMatrixChain:
-    """Read a dense chain: first line |S|, then |S| rows of probabilities."""
+    """Read a dense chain: first line |S|, then |S| rows of probabilities, then blank lines only."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
@@ -469,6 +446,9 @@ def load_matrix_chain(path) -> DenseMatrixChain:
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             rows.append(row)
+        for extra, line in enumerate(fh, n + 2):
+            if line.strip():
+                raise ValueError(f"line {extra}: expected only blank lines after the {n} rows")
     return DenseMatrixChain(np.array(rows))
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,12 +27,10 @@ __all__ = [
     "ReturnCountAccumulator",
     "UcpiEstimate",
     "TheoryDiagnostics",
-    "BudgetParameters",
     "bernoulli_kl",
     "confidence_upper_bound",
     "plugin_bound",
     "finalize_estimate",
-    "default_parameters",
     "config_for_budget",
     "relaxation_upper_bound",
     "validity_check",
@@ -62,14 +59,6 @@ class UcpiConfig:
             raise ValueError("max_path_length must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
-
-
-class BudgetParameters(NamedTuple):
-    """Default (I, K, delta) derived from a simulation budget of n transitions."""
-
-    num_paths: int
-    max_path_length: int
-    confidence: float
 
 
 @dataclass
@@ -254,34 +243,16 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
     )
 
 
-def default_parameters(n: int) -> BudgetParameters:
-    """Default (I, K, delta) for a budget of n simulated transitions.
+def config_for_budget(n: int, state_space_size: int) -> UcpiConfig:
+    """The default split of a budget of n simulated transitions.
 
     delta = 1/sqrt(n), K = ceil((ln n)^2), I = floor(n/K); the total number
-    of transitions I*K never exceeds n.
+    of transitions I*K never exceeds n, and I >= 1 because (ln n)^2 < n.
     """
     if n < 16:
         raise ValueError("budget n must be >= 16")
     max_path_length = math.ceil(math.log(n) ** 2)
-    num_paths = n // max_path_length
-    if num_paths == 0:
-        raise ValueError(f"budget n={n} leaves no room for a single path of length {max_path_length}")
-    return BudgetParameters(
-        num_paths=num_paths,
-        max_path_length=max_path_length,
-        confidence=n ** -0.5,
-    )
-
-
-def config_for_budget(n: int, state_space_size: int) -> UcpiConfig:
-    """Convenience: a full config with the default budget split."""
-    params = default_parameters(n)
-    return UcpiConfig(
-        state_space_size=state_space_size,
-        num_paths=params.num_paths,
-        max_path_length=params.max_path_length,
-        confidence=params.confidence,
-    )
+    return UcpiConfig(state_space_size, n // max_path_length, max_path_length, n**-0.5)
 
 
 def relaxation_upper_bound(ell_star: float) -> float:

@@ -141,52 +141,32 @@ def _check_range(states, n, what):
         raise ValueError(f"{what} {lo if lo < 0 else hi} outside [0, {n})")
 
 
-def _draw_block(engine, start, stop):
-    """Start states and per-path uniforms of paths start..stop-1, one row each."""
-    K, ups = engine.config.max_path_length, engine.oracle.uniforms_per_step
-    streams = _PathStreams(engine.master_seed)
-    x0 = np.empty(stop - start, dtype=np.int64)
-    uniforms = np.empty((stop - start, K * ups))
-    for j in range(stop - start):
-        rng = streams(start + j)
-        x0[j] = operator.index(engine.initial.sample(rng))
-        rng.random(out=uniforms[j])
-    _check_range(x0, engine.config.state_space_size, "start state")
-    return x0, uniforms
-
-
-def _step_block(oracle, x0, uniforms, K, n):
-    """Yield the block's states after steps 1..K; each step must give one int per path.
-
-    The states after step K must lie in [0, n).  They are checked before the
-    last yield, because the consumer stops pulling after K states.
-    """
-    ups = uniforms.shape[1] // K
-    xs = x0.copy()  # a kernel may write into its input
-    for k in range(K):
-        xs = np.asarray(oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
-        if xs.shape != x0.shape or xs.dtype.kind not in "iu":
-            raise TypeError(
-                f"step_with_uniforms returned {xs.dtype} of shape {xs.shape}, "
-                f"expected integer states of shape {x0.shape}"
-            )
-        if k == K - 1:
-            _check_range(xs, n, "final state")
-        yield xs
-
-
 def _collect_block_vectorized(engine, empty, weight, start, stop):
     acc = empty.copy()
-    K = engine.config.max_path_length
+    K, n = engine.config.max_path_length, engine.config.state_space_size
+    ups = engine.oracle.uniforms_per_step
     # All or nothing: a failure anywhere in the block commits none of its paths.
     try:
-        x0, uniforms = _draw_block(engine, start, stop)
-        steps = _step_block(engine.oracle, x0, uniforms, K, engine.config.state_space_size)
-        if weight is None:
-            counts = np.fromiter((np.count_nonzero(xs == x0) for xs in steps), np.int64, K)
-        else:
-            weights = np.fromiter((weight(int(x)) for x in x0), float, len(x0))
-            counts = np.fromiter((weights @ (xs == x0) for xs in steps), float, K)
+        streams = _PathStreams(engine.master_seed)
+        x0 = np.empty(stop - start, dtype=np.int64)
+        uniforms = np.empty((stop - start, K * ups))
+        for j in range(stop - start):
+            rng = streams(start + j)
+            x0[j] = operator.index(engine.initial.sample(rng))
+            rng.random(out=uniforms[j])
+        _check_range(x0, n, "start state")
+        weights = None if weight is None else np.fromiter((weight(int(x)) for x in x0), float, len(x0))
+        counts = np.empty(K, dtype=np.int64 if weight is None else float)
+        xs = x0.copy()  # a kernel may write into its input
+        for k in range(K):
+            xs = np.asarray(engine.oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
+            if xs.shape != x0.shape or xs.dtype.kind not in "iu":
+                raise TypeError(
+                    f"step_with_uniforms returned {xs.dtype} of shape {xs.shape}, "
+                    f"expected integer states of shape {x0.shape}"
+                )
+            counts[k] = np.count_nonzero(xs == x0) if weights is None else weights @ (xs == x0)
+        _check_range(xs, n, "final state")
     except Exception as exc:
         raise CollectionError(
             f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=acc

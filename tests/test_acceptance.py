@@ -26,7 +26,6 @@ from specgap.estimator import (
     bernoulli_kl,
     config_for_budget,
     confidence_upper_bound,
-    default_parameters,
     finalize_estimate,
     validity_check,
 )
@@ -176,11 +175,11 @@ def test_criterion_7_usp_reduction():
     # segments-per-budget converges toward the fresh-path count as n grows
     ratios = []
     for n in (10**4, 10**5, 10**6):
-        params = default_parameters(n)
+        cfg = config_for_budget(n, 10)
         source = trajectory_from_oracle(chain, 0, master_seed=11, max_steps=n)
-        engine = UspEngine(source, params.max_path_length, UniformSampler(10), master_seed=11)
-        acc = usp_collect(engine, num_segments=params.num_paths)
-        ratios.append(acc.paths_completed / params.num_paths)
+        engine = UspEngine(source, cfg.max_path_length, UniformSampler(10), master_seed=11)
+        acc = usp_collect(engine, num_segments=cfg.num_paths)
+        ratios.append(acc.paths_completed / cfg.num_paths)
     assert ratios[0] < ratios[1] < ratios[2] <= 1.0
     print(f"ACCEPTANCE 7 single-trajectory reduction (uniform starts p={pvalue:.3f}, "
           f"ratios {[round(r, 3) for r in ratios]} increasing): PASS")

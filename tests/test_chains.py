@@ -15,7 +15,6 @@ from specgap.chains import (
     load_matrix_chain,
     return_probability_curve,
     save_matrix_chain,
-    trace_of_power,
 )
 
 TWO_STATE = [[0.75, 0.25], [0.25, 0.75]]
@@ -124,17 +123,18 @@ def test_spectrum_sorted_descending():
 def test_trace_k1_is_diagonal_sum():
     for chain in small_chains():
         P = chain.transition_matrix()
-        assert trace_of_power(chain, 1) == pytest.approx(P.diagonal().sum(), rel=1e-12)
+        assert return_probability_curve(chain, 1)[0] == pytest.approx(P.diagonal().mean(), rel=1e-12)
 
 
 def test_trace_two_state_k3():
-    assert trace_of_power(DenseMatrixChain(TWO_STATE), 3) == pytest.approx(1.0 + 0.5**3, abs=1e-12)
+    curve = return_probability_curve(DenseMatrixChain(TWO_STATE), 3)
+    assert curve[2] == pytest.approx((1.0 + 0.5**3) / 2, abs=1e-12)
 
 
 def test_trace_identity_chain():
-    chain = DenseMatrixChain(np.eye(4))
+    curve = return_probability_curve(DenseMatrixChain(np.eye(4)), 20)
     for k in (1, 5, 20):
-        assert trace_of_power(chain, k) == pytest.approx(4.0, abs=1e-12)
+        assert curve[k - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_matches_eigenvalue_sums_up_to_k50():
@@ -143,10 +143,7 @@ def test_trace_matches_eigenvalue_sums_up_to_k50():
         curve = return_probability_curve(chain, 50)
         n = chain.state_space_size()
         for k in (1, 2, 10, 50):
-            eig_sum = float((lam**k).sum())
-            assert curve[k - 1] == pytest.approx(eig_sum / n, abs=1e-6)
-            if k <= 10:
-                assert trace_of_power(chain, k) == pytest.approx(eig_sum, abs=1e-6)
+            assert curve[k - 1] == pytest.approx(float((lam**k).sum()) / n, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,8 @@ def test_trace_matches_eigenvalue_sums_up_to_k50():
 
 def test_generate_k4_is_unique_cubic_graph():
     g = generate_regular_graph(4, 3, seed=11)
-    assert sorted(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for x in range(4):
+        assert sorted(g.neighbors[x].tolist()) == [y for y in range(4) if y != x]
 
 
 def test_generate_rejects_odd_degree_sum():
@@ -196,16 +194,6 @@ def test_regular_graph_lambda2_in_plausible_band():
     # instance-dependent; typical lazy-walk values sit near 0.88 for d=5
     lam2 = exact_spectrum(generate_regular_graph(100, 5, seed=0))[1]
     assert 0.85 <= lam2 <= 0.93
-
-
-def test_edge_list_export(tmp_path):
-    g = generate_regular_graph(10, 3, seed=2)
-    out = tmp_path / "graph.txt"
-    g.save_edges(out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 10 * 3 // 2
-    parsed = [tuple(map(int, ln.split())) for ln in lines]
-    assert parsed == g.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +288,16 @@ def test_matrix_file_round_trip(tmp_path):
     save_matrix_chain(chain, path)
     loaded = load_matrix_chain(path)
     assert np.array_equal(loaded.transition_matrix(), chain.transition_matrix())
+    with open(path, "a") as fh:
+        fh.write("\n \n")  # trailing blank lines are allowed
+    assert np.array_equal(load_matrix_chain(path).transition_matrix(), chain.transition_matrix())
 
 
 def test_matrix_file_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n0.5 0.5\n")
     with pytest.raises(ValueError, match="expected 2"):
+        load_matrix_chain(bad)
+    bad.write_text("2\n0.5 0.5\n0.5 0.5\n1 0\n")
+    with pytest.raises(ValueError, match="line 4: expected only blank lines"):
         load_matrix_chain(bad)

@@ -256,6 +256,30 @@ def test_non_finite_matrix_file_exits_two(tmp_path, capsys, entry):
     assert "finite" in err
 
 
+def test_matrix_file_with_extra_rows_exits_two(tmp_path, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_text("2\n0.5 0.5\n0.5 0.5\n\n1 0\n")
+    code, out, err = run_cli(
+        capsys, ["run", "--chain", "matrix", "--matrix-file", str(path), "--n", "20000"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot load matrix chain")
+    assert "line 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--chain", "line", "--n", "1000", "--no-timing"],
+        ["tables", "--max-n", "10000", "--trials", "1"],
+    ],
+)
+def test_unwritable_out_exits_two(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "missing" / "report.txt")])
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: cannot write report")
+
+
 def test_non_finite_mu_file_exits_two(tmp_path, capsys):
     mu = tmp_path / "mu.txt"
     mu.write_text("nan\n-0.5\n1.5\n")

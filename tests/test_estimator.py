@@ -12,7 +12,6 @@ from specgap.estimator import (
     bernoulli_kl,
     confidence_upper_bound,
     config_for_budget,
-    default_parameters,
     finalize_estimate,
     plugin_bound,
     relaxation_upper_bound,
@@ -258,29 +257,29 @@ def test_plugin_domain_errors():
 
 
 def test_default_parameters_large_budget():
-    params = default_parameters(10**6)
-    assert params.max_path_length == 191
-    assert params.num_paths == 5235
-    assert params.confidence == pytest.approx(1e-3, rel=1e-12)
+    cfg = config_for_budget(10**6, 20)
+    assert cfg.max_path_length == 191
+    assert cfg.num_paths == 5235
+    assert cfg.confidence == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_default_parameters_small_budget():
-    params = default_parameters(55)
-    assert params.max_path_length == 17
-    assert params.num_paths == 3
-    assert params.confidence == pytest.approx(1.0 / math.sqrt(55), rel=1e-12)
+    cfg = config_for_budget(55, 20)
+    assert cfg.max_path_length == 17
+    assert cfg.num_paths == 3
+    assert cfg.confidence == pytest.approx(1.0 / math.sqrt(55), rel=1e-12)
 
 
 def test_default_parameters_respect_budget():
-    for n in [16, 17, 55, 100, 1234, 10**4, 10**6, 10**8]:
-        params = default_parameters(n)
-        assert params.num_paths * params.max_path_length <= n
-        assert params.num_paths >= 1
+    for n in [*range(16, 2000), 10**4, 10**6, 10**8]:
+        cfg = config_for_budget(n, 20)
+        assert cfg.num_paths * cfg.max_path_length <= n
+        assert cfg.num_paths >= 1
 
 
 def test_default_parameters_reject_tiny_budget():
     with pytest.raises(ValueError):
-        default_parameters(15)
+        config_for_budget(15, 20)
 
 
 def test_relaxation_upper_bound_values():

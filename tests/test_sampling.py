@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from specgap.chains import BiasedLineChain, DenseMatrixChain, TabularSampler, UniformSampler
@@ -220,6 +222,33 @@ def test_master_seed_changes_counts():
     a = rtf_collect(make_engine(TWO_STATE, cfg, 7))
     b = rtf_collect(make_engine(TWO_STATE, cfg, 8))
     assert not np.array_equal(a.counts, b.counts)
+
+
+@st.composite
+def reversible_lazy_chains(draw):
+    """A lazy chain (I + W / rowsums) / 2 of symmetric weights W >= 0: reversible, 2-10 states."""
+    n = draw(st.integers(2, 10))
+    weights = np.array(draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n)), float)
+    W = weights.reshape(n, n) + np.eye(n)  # a positive diagonal keeps every row sum positive
+    W = W + W.T
+    return DenseMatrixChain((np.eye(n) + W / W.sum(axis=1, keepdims=True)) / 2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    chain=reversible_lazy_chains(),
+    num_paths=st.integers(1, 3 * BLOCK_SIZE),
+    K=st.integers(1, 20),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_vectorized_blocks_match_scalar_at_any_worker_count(chain, num_paths, K, seed):
+    n = chain.state_space_size()
+    cfg = UcpiConfig(n, num_paths, K, 0.1)
+    scalar = rtf_collect(RtfEngine(ScalarOnly(chain), UniformSampler(n), cfg, seed))
+    for workers in (1, 2, 3):
+        vec = rtf_collect(make_engine(chain, cfg, seed, workers))
+        assert np.array_equal(vec.counts, scalar.counts)
+        assert vec.paths_completed == scalar.paths_completed == num_paths
 
 
 def test_partial_counts_preserved_on_oracle_failure():
