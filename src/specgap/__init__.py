@@ -10,6 +10,7 @@ from .chains import (
     BiasedLineChain,
     DenseMatrixChain,
     RegularGraphChain,
+    SquaredChainOracle,
     TabularSampler,
     UniformSampler,
     exact_spectrum,
@@ -24,33 +25,29 @@ from .estimator import (
     TheoryDiagnostics,
     UcpiConfig,
     UcpiEstimate,
+    WeightedReturnAccumulator,
     bernoulli_kl,
     confidence_upper_bound,
     config_for_budget,
     finalize_estimate,
+    finalize_weighted,
     plugin_bound,
     relaxation_upper_bound,
     theory_diagnostics,
     validity_check,
 )
-from .extensions import (
-    NonLazyEstimate,
-    SquaredChainOracle,
-    WeightedReturnAccumulator,
-    estimate_nonlazy,
-    finalize_weighted,
-    weighted_collect,
-)
 from .sampling import (
     CollectionError,
+    NonLazyEstimate,
     RtfEngine,
     UspEngine,
     UspStats,
-    merge_accumulators,
+    estimate_nonlazy,
     rtf_collect,
     states_from_file,
     trajectory_from_oracle,
     usp_collect,
+    weighted_collect,
 )
 
 __version__ = "0.1.0"

@@ -7,6 +7,9 @@ advances a whole batch of states from pre-drawn uniforms (exactly
 ``uniforms_per_step`` per transition, consumed in step order, so scalar and
 vectorized simulation see the same random stream).
 
+``SquaredChainOracle`` wraps a chain as its two-step chain, whose
+eigenvalues are the squares of the chain's own (``sampling.estimate_nonlazy``).
+
 For small chains the exact oracles (stationary distribution, full spectrum
 via symmetrization, traces of matrix powers) provide the ground truth the
 estimator is verified against.  States are 0-based dense integers
@@ -28,6 +31,7 @@ __all__ = [
     "BiasedLineChain",
     "RegularGraphChain",
     "DenseMatrixChain",
+    "SquaredChainOracle",
     "line_stationary",
     "exact_spectrum",
     "return_probability_curve",
@@ -268,6 +272,30 @@ class DenseMatrixChain:
 
     def transition_matrix(self) -> np.ndarray:
         return self.matrix
+
+
+@dataclass(frozen=True)
+class SquaredChainOracle:
+    """Simulates the two-step chain: each transition makes exactly two inner calls."""
+
+    inner: TransitionOracle
+
+    def state_space_size(self) -> int:
+        return self.inner.state_space_size()
+
+    def next_state(self, x: int, rng: np.random.Generator) -> int:
+        return self.inner.next_state(self.inner.next_state(x, rng), rng)
+
+    @property
+    def uniforms_per_step(self) -> int:
+        # AttributeError propagates when the inner oracle is scalar-only,
+        # which correctly demotes this wrapper to the scalar path too.
+        return 2 * self.inner.uniforms_per_step
+
+    def step_with_uniforms(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        half = self.inner.uniforms_per_step
+        mid = self.inner.step_with_uniforms(xs, us[:, :half])
+        return self.inner.step_with_uniforms(mid, us[:, half:])
 
 
 # ---------------------------------------------------------------------------

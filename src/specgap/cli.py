@@ -29,6 +29,7 @@ import numpy as np
 
 from .chains import (
     BiasedLineChain,
+    SquaredChainOracle,
     TabularSampler,
     UniformSampler,
     exact_spectrum,
@@ -42,7 +43,6 @@ from .estimator import (
     relaxation_upper_bound,
     validity_check,
 )
-from .extensions import SquaredChainOracle, weighted_collect
 from .sampling import (
     RtfEngine,
     UspEngine,
@@ -50,6 +50,7 @@ from .sampling import (
     states_from_file,
     trajectory_from_oracle,
     usp_collect,
+    weighted_collect,
 )
 
 __all__ = ["ExperimentSpec", "ExperimentReport", "run_experiment", "reproduce_tables", "coverage_study", "main"]
@@ -473,10 +474,10 @@ def _spec_from_args(args) -> ExperimentSpec:
     return ExperimentSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentSpec)})
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(out_path, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write report: {exc}") from exc
@@ -506,6 +507,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # Check the report path before any trial runs, keeping an old report.
+        _emit("", args.out, mode="a")
         if args.command == "run":
             report = run_experiment(_spec_from_args(args), with_timing=not args.no_timing)
             _emit(format_report(report, args.output_format), args.out)

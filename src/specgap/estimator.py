@@ -10,6 +10,10 @@ transformations is
            -> eigenvalue bounds ell_k = min((max(|S|*u_k - 1, 0))^(1/k), 1)
            -> ell_star = min_k ell_k,   t_r <= 1 / (1 - ell_star).
 
+Starts drawn from a known pmf weight each return by min_pmf/pmf(start), in
+(0, 1], and the plug-in uses w_max = 1/min_pmf in place of |S|; the same KL
+bound then holds, more conservatively as min_pmf drifts below uniform.
+
 All functions here are pure and operate on scalars or length-K arrays, so
 the whole estimation path uses O(K) memory regardless of state-space size.
 """
@@ -25,12 +29,14 @@ import numpy as np
 __all__ = [
     "UcpiConfig",
     "ReturnCountAccumulator",
+    "WeightedReturnAccumulator",
     "UcpiEstimate",
     "TheoryDiagnostics",
     "bernoulli_kl",
     "confidence_upper_bound",
     "plugin_bound",
     "finalize_estimate",
+    "finalize_weighted",
     "config_for_budget",
     "relaxation_upper_bound",
     "validity_check",
@@ -66,10 +72,9 @@ class ReturnCountAccumulator:
     """Streaming per-k return counts over completed paths.
 
     counts[k-1] is the number of finished paths that were back in their
-    start state after k steps.  Merging accumulators is componentwise
-    integer addition, so partial results from parallel workers combine
-    exactly, in any order.  Storage is K integers; nothing scales with the
-    state-space size.
+    start state after k steps.  The sampling engines add block results
+    together componentwise, in block order.  Storage is K integers; nothing
+    scales with the state-space size.
     """
 
     counts: np.ndarray
@@ -89,6 +94,40 @@ class ReturnCountAccumulator:
         out = copy.copy(self)
         out.counts = self.counts.copy()
         return out
+
+
+@dataclass(init=False)
+class WeightedReturnAccumulator(ReturnCountAccumulator):
+    """Importance-weighted return sums, stored in w_max-rescaled form.
+
+    ``counts[k-1]`` (also ``scaled_counts``) sums min_pmf/pmf(start) as
+    float64 over paths that returned at step k; each term lies in (0, 1],
+    so scaled_counts/I is a mean of [0, 1]-bounded variables.
+    ``weighted_sums`` recovers the raw importance-weighted sums (unbiased
+    for the trace of the k-th power).
+    """
+
+    w_max: float
+
+    def __init__(self, scaled_counts: np.ndarray, w_max: float, paths_completed: int = 0):
+        super().__init__(scaled_counts, paths_completed)
+        self.w_max = w_max
+
+    @classmethod
+    def empty(cls, max_path_length: int, w_max: float) -> "WeightedReturnAccumulator":
+        if max_path_length < 1:
+            raise ValueError("max_path_length must be >= 1")
+        if w_max < 1.0:
+            raise ValueError("w_max = 1/min_pmf must be >= 1")
+        return cls(np.zeros(max_path_length), w_max)
+
+    @property
+    def scaled_counts(self) -> np.ndarray:
+        return self.counts
+
+    @property
+    def weighted_sums(self) -> np.ndarray:
+        return self.counts * self.w_max
 
 
 @dataclass(frozen=True)
@@ -206,10 +245,9 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
 
     Per k: m_hat = counts/I, u_hat = KL upper bound at level delta/(2K),
     ell_hat = plug-in eigenvalue bound; ell_star is the minimum over k.
-    An importance-weighted accumulator (``extensions.weighted_collect``)
-    holds scaled sums in [0, I] and carries ``w_max``, which replaces |S|
-    in the plug-in.  Pure function of (acc, cfg): identical inputs give
-    identical outputs.
+    A ``WeightedReturnAccumulator`` holds scaled sums in [0, I] and carries
+    ``w_max``, which replaces |S| in the plug-in.  Pure function of (acc,
+    cfg): identical inputs give identical outputs.
     """
     K = cfg.max_path_length
     I = cfg.num_paths
@@ -227,7 +265,9 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
 
     m_hat = counts / I
     per_k_confidence = cfg.confidence / (2.0 * K)
-    u_hat = np.array([confidence_upper_bound(m, I, per_k_confidence) for m in m_hat])
+    u_hat = np.empty(K)
+    for m in np.unique(m_hat):  # one KL solve per distinct count
+        u_hat[m_hat == m] = confidence_upper_bound(m, I, per_k_confidence)
     trace_scale = getattr(acc, "w_max", cfg.state_space_size)
     ell_hat = np.array([plugin_bound(u, k, trace_scale) for k, u in enumerate(u_hat, start=1)])
     argmin_k = int(np.argmin(ell_hat)) + 1
@@ -241,6 +281,10 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
         relaxation_upper=relaxation_upper_bound(ell_star),
         informative=ell_star < 1.0,
     )
+
+
+#: Importance-weighted accumulators need no finalize of their own.
+finalize_weighted = finalize_estimate
 
 
 def config_for_budget(n: int, state_space_size: int) -> UcpiConfig:

@@ -5,6 +5,8 @@ independent length-K paths from a chosen initial distribution (and can fan
 the work out to parallel workers); the single-trajectory engine extracts
 independent uniformly-started segments from one long path by regenerating
 at freshly drawn uniform target states.
+``rtf_collect``, ``weighted_collect`` and ``estimate_nonlazy`` all run
+fresh paths through one collector.
 
 Randomness discipline: path j draws from the Philox stream with key
 (master_seed, j) starting at counter 0, so the collected counts are a pure
@@ -36,17 +38,26 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .chains import InitialSampler, TransitionOracle
-from .estimator import ReturnCountAccumulator, UcpiConfig
+from .chains import InitialSampler, SquaredChainOracle, TransitionOracle
+from .estimator import (
+    ReturnCountAccumulator,
+    UcpiConfig,
+    UcpiEstimate,
+    WeightedReturnAccumulator,
+    finalize_estimate,
+    relaxation_upper_bound,
+)
 
 __all__ = [
     "RtfEngine",
     "UspEngine",
     "UspStats",
     "CollectionError",
+    "NonLazyEstimate",
     "rtf_collect",
+    "weighted_collect",
+    "estimate_nonlazy",
     "usp_collect",
-    "merge_accumulators",
     "trajectory_from_oracle",
     "states_from_file",
     "TraceFile",
@@ -248,28 +259,74 @@ def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
     return _collect(engine, ReturnCountAccumulator.empty(engine.config.max_path_length))
 
 
-def merge_accumulators(accumulators: Iterable[ReturnCountAccumulator]) -> ReturnCountAccumulator:
-    """Componentwise sum of count accumulators sharing the same K.
+def weighted_collect(
+    oracle: TransitionOracle,
+    initial: InitialSampler,
+    cfg: UcpiConfig,
+    master_seed: int,
+    worker_count: int = 1,
+) -> WeightedReturnAccumulator:
+    """Collect importance-weighted return indicators under starts from ``initial``.
 
-    Importance-weighted accumulators merge only with each other, and only
-    when they share ``w_max``.
+    Per path: draw a start from the sampler's pmf, simulate K steps, and add
+    min_pmf/pmf(start) to every k at which the path sits in its start state.
+    A start whose pmf is zero or below ``initial.min_pmf()`` (a weight
+    above 1) fails its path with ``CollectionError``.  With a uniform
+    sampler this reduces exactly to unweighted counting.
     """
-    accs = list(accumulators)
-    if not accs:
-        raise ValueError("need at least one accumulator")
-    K = accs[0].max_path_length
-    w_max = getattr(accs[0], "w_max", None)
-    for acc in accs[1:]:
-        if acc.max_path_length != K:
-            raise ValueError(
-                f"cannot merge accumulators of lengths {K} and {acc.max_path_length}"
-            )
-        other = getattr(acc, "w_max", None)
-        if (other is None) != (w_max is None):
-            raise ValueError("cannot merge weighted and unweighted accumulators")
-        if other != w_max:
-            raise ValueError(f"cannot merge accumulators with w_max {w_max} and {other}")
-    return functools.reduce(_add, accs[1:], accs[0].copy())
+    min_pmf = initial.min_pmf()
+    if min_pmf <= 0.0:
+        raise ValueError("initial sampler must have strictly positive min_pmf")
+
+    def weight(x0):
+        p = initial.pmf(x0)
+        if not p >= min_pmf:  # zero, or a weight above 1
+            reason = "zero pmf" if p <= 0.0 else f"pmf {p} below min_pmf {min_pmf}"
+            raise ValueError(f"sampler produced state {x0} with {reason}")
+        return min_pmf / p
+
+    empty = WeightedReturnAccumulator.empty(cfg.max_path_length, w_max=1.0 / min_pmf)
+    return _collect(RtfEngine(oracle, initial, cfg, master_seed, worker_count), empty, weight)
+
+
+@dataclass(frozen=True)
+class NonLazyEstimate:
+    """Two-step-chain estimate plus its mapping back to the original chain.
+
+    ``squared_estimate`` bounds the second eigenvalue of the two-step chain;
+    ``spectral_radius_bound`` is its square root, an upper confidence bound
+    on the largest absolute eigenvalue of the original (possibly non-lazy)
+    chain.  ``inner_calls`` counts one-step simulator invocations (2*I*K).
+    """
+
+    squared_estimate: UcpiEstimate
+    spectral_radius_bound: float
+    relaxation_upper: float
+    inner_calls: int
+
+
+def estimate_nonlazy(
+    oracle: TransitionOracle,
+    cfg: UcpiConfig,
+    initial: InitialSampler,
+    master_seed: int,
+    worker_count: int = 1,
+) -> NonLazyEstimate:
+    """Full pipeline on the squared chain, mapped back by a square root.
+
+    ``cfg`` describes the squared-chain run: cfg.num_paths paths of
+    cfg.max_path_length two-step transitions, so the one-step budget is
+    2 * I * K inner calls.
+    """
+    engine = RtfEngine(SquaredChainOracle(oracle), initial, cfg, master_seed, worker_count)
+    raw = finalize_estimate(rtf_collect(engine), cfg)
+    mapped = math.sqrt(raw.ell_star)
+    return NonLazyEstimate(
+        squared_estimate=raw,
+        spectral_radius_bound=mapped,
+        relaxation_upper=relaxation_upper_bound(mapped),
+        inner_calls=2 * cfg.num_paths * cfg.max_path_length,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +363,8 @@ class UspEngine:
     is read ``CHUNK`` states at a time, so up to ``CHUNK - 1`` states past
     the last one used may be drawn from it.  Each state is inspected once,
     and memory stays O(CHUNK + K) however long the trajectory.  ``stats``
-    is not a parameter: ``usp_collect`` fills it in.
+    is not a parameter: each ``usp_collect`` call replaces it with the
+    stats of that call.
     """
 
     source: Iterable[int]
@@ -358,7 +416,7 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
         raise ValueError("num_segments must be >= 1")
     K = engine.segment_length
     acc = ReturnCountAccumulator.empty(K)
-    stats = engine.stats
+    stats = engine.stats = UspStats()
     rng = path_rng(engine.master_seed, TARGET_STREAM_KEY)
 
     target = engine.target_sampler.sample(rng)

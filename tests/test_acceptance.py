@@ -29,8 +29,14 @@ from specgap.estimator import (
     finalize_estimate,
     validity_check,
 )
-from specgap.extensions import estimate_nonlazy
-from specgap.sampling import RtfEngine, UspEngine, rtf_collect, trajectory_from_oracle, usp_collect
+from specgap.sampling import (
+    RtfEngine,
+    UspEngine,
+    estimate_nonlazy,
+    rtf_collect,
+    trajectory_from_oracle,
+    usp_collect,
+)
 from specgap.cli import ExperimentSpec, run_experiment
 
 TWO_STATE = DenseMatrixChain([[0.75, 0.25], [0.25, 0.75]])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from specgap import cli
 from specgap.chains import DenseMatrixChain, save_matrix_chain
 from specgap.cli import (
     CSV_COLUMNS,
@@ -272,9 +273,16 @@ def test_matrix_file_with_extra_rows_exits_two(tmp_path, capsys):
     [
         ["run", "--chain", "line", "--n", "1000", "--no-timing"],
         ["tables", "--max-n", "10000", "--trials", "1"],
+        ["coverage", "--chain", "line", "--n", "1000", "--trials", "200"],
     ],
 )
-def test_unwritable_out_exits_two(tmp_path, capsys, argv):
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # The path is checked before any trial runs, not after the whole grid.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(cli, "reproduce_tables", must_not_run)
     code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "missing" / "report.txt")])
     assert code == 2 and out == ""
     assert err.startswith("configuration error: cannot write report")

@@ -18,15 +18,16 @@ from specgap.chains import (
     UniformSampler,
     generate_regular_graph,
 )
-from specgap.estimator import UcpiConfig
-from specgap.extensions import estimate_nonlazy, finalize_weighted, weighted_collect
+from specgap.estimator import UcpiConfig, finalize_weighted
 from specgap.sampling import (
     RtfEngine,
     UspEngine,
+    estimate_nonlazy,
     rtf_collect,
     states_from_file,
     trajectory_from_oracle,
     usp_collect,
+    weighted_collect,
 )
 
 PATHS = 2100  # three blocks, the last one partial
@@ -121,7 +122,7 @@ def weighted_finalized(oracle):
     cfg = UcpiConfig(size, PATHS, LENGTH, 0.1)
     sampler = odd_heavy(size)
     acc = weighted_collect(oracle, sampler, cfg, SEED)
-    return finalize_fingerprint(finalize_weighted(acc, cfg, sampler.min_pmf()))
+    return finalize_fingerprint(finalize_weighted(acc, cfg))
 
 
 def nonlazy_finalized(oracle):

@@ -9,6 +9,7 @@ from specgap.estimator import (
     CB_TOLERANCE,
     ReturnCountAccumulator,
     UcpiConfig,
+    WeightedReturnAccumulator,
     bernoulli_kl,
     confidence_upper_bound,
     config_for_budget,
@@ -404,6 +405,36 @@ def test_finalize_invariants_on_random_counts():
         assert np.all((0.0 <= est.ell_hat) & (est.ell_hat <= 1.0))
         assert est.ell_star == est.ell_hat.min()
         assert est.ell_hat[est.argmin_k - 1] == est.ell_star
+
+
+@st.composite
+def repeated_counts(draw):
+    """(accumulator, config) whose K counts repeat a few values, unweighted or weighted."""
+    paths, K = draw(st.integers(1, 10**6)), draw(st.integers(1, 60))
+    weighted = draw(st.booleans())
+    value = st.floats(0.0, float(paths)) if weighted else st.integers(0, paths)
+    values = draw(st.lists(value, min_size=1, max_size=4))
+    counts = draw(st.lists(st.sampled_from(values), min_size=K, max_size=K))
+    if weighted:
+        acc = WeightedReturnAccumulator(np.array(counts), draw(st.floats(1.0, 1e3)), paths)
+    else:
+        acc = make_acc(counts, paths)
+    cfg = UcpiConfig(draw(st.integers(2, 10**4)), paths, K, draw(st.floats(1e-6, 0.5)))
+    return acc, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_counts())
+def test_finalize_matches_per_k_loop_bit_for_bit(case):
+    # One KL solve per distinct count must change no bit of the per-k answer.
+    acc, cfg = case
+    est = finalize_estimate(acc, cfg)
+    I, K = cfg.num_paths, cfg.max_path_length
+    u = [confidence_upper_bound(c / I, I, cfg.confidence / (2.0 * K)) for c in acc.counts]
+    scale = getattr(acc, "w_max", cfg.state_space_size)
+    ell = [plugin_bound(v, k, scale) for k, v in enumerate(u, start=1)]
+    assert est.u_hat.tolist() == u
+    assert est.ell_hat.tolist() == ell
 
 
 # ---------------------------------------------------------------------------

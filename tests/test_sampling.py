@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -8,15 +9,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from specgap.chains import BiasedLineChain, DenseMatrixChain, TabularSampler, UniformSampler
-from specgap.estimator import ReturnCountAccumulator, UcpiConfig, finalize_estimate
-from specgap.extensions import WeightedReturnAccumulator
+from specgap.estimator import UcpiConfig, finalize_estimate
 from specgap.sampling import (
     BLOCK_SIZE,
     CollectionError,
     RtfEngine,
     UspEngine,
     _PathStreams,
-    merge_accumulators,
     path_rng,
     rtf_collect,
     states_from_file,
@@ -433,56 +432,6 @@ def test_reset_stream_draws_exactly_what_path_rng_draws(master_seed, leftover):
 # ---------------------------------------------------------------------------
 
 
-def make_acc(counts, paths):
-    acc = ReturnCountAccumulator(np.asarray(counts, dtype=np.int64))
-    acc.paths_completed = paths
-    return acc
-
-
-def test_merge_with_empty_is_identity():
-    a = make_acc([3, 1, 0], 5)
-    merged = merge_accumulators([a, ReturnCountAccumulator.empty(3)])
-    assert merged.counts.tolist() == [3, 1, 0]
-    assert merged.paths_completed == 5
-
-
-def test_merge_is_permutation_invariant():
-    accs = [make_acc([1, 2, 3], 4), make_acc([0, 5, 1], 6), make_acc([2, 2, 2], 3)]
-    ref = merge_accumulators(accs)
-    for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-        out = merge_accumulators([accs[i] for i in perm])
-        assert np.array_equal(out.counts, ref.counts)
-        assert out.paths_completed == ref.paths_completed
-
-
-def test_merge_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="lengths"):
-        merge_accumulators([make_acc([1, 2], 2), make_acc([1, 2, 3], 3)])
-
-
-def test_merge_weighted_guards():
-    def weighted(sums, paths, w_max):
-        return WeightedReturnAccumulator(np.asarray(sums, dtype=float), w_max, paths)
-
-    a, b = weighted([1.0, 0.5], 2, 2.0), weighted([0.5, 0.5], 1, 2.0)
-    merged = merge_accumulators([a, b])
-    assert isinstance(merged, WeightedReturnAccumulator)
-    assert merged.scaled_counts.tolist() == [1.5, 1.0]
-    assert (merged.w_max, merged.paths_completed) == (2.0, 3)
-    with pytest.raises(ValueError, match="weighted and unweighted"):
-        merge_accumulators([a, make_acc([1, 1], 2)])
-    with pytest.raises(ValueError, match="weighted and unweighted"):
-        merge_accumulators([make_acc([1, 1], 2), a])
-    with pytest.raises(ValueError, match="w_max 2.0 and 4.0"):
-        merge_accumulators([a, weighted([1.0, 0.0], 1, 4.0)])
-
-
-def test_merge_does_not_mutate_inputs():
-    a, b = make_acc([1, 1], 2), make_acc([2, 0], 2)
-    merge_accumulators([a, b])
-    assert a.counts.tolist() == [1, 1] and b.counts.tolist() == [2, 0]
-
-
 def test_split_collection_merges_to_full_run():
     # same master seed, paths split across two engines by block boundaries
     cfg_full = UcpiConfig(2, 2 * BLOCK_SIZE, 4, 0.1)
@@ -560,6 +509,19 @@ def test_usp_exhaustion_is_partial_not_fatal():
     cfg = UcpiConfig(2, acc.paths_completed, 4, 0.1)
     est = finalize_estimate(acc, cfg)
     assert 0.0 <= est.ell_star <= 1.0
+
+
+def test_usp_reused_engine_reports_each_call_alone():
+    engine = UspEngine(list(np.random.default_rng(2).integers(0, 5, 5000)), 5, UniformSampler(5), 7)
+    usp_collect(engine, 10)
+    first = dataclasses.replace(engine.stats)
+    acc = usp_collect(engine, 10)
+    assert acc.paths_completed == engine.stats.segments_emitted == 10
+    assert engine.stats == first
+    usp_collect(engine, 10**6)
+    assert engine.stats.exhausted
+    usp_collect(engine, 10)
+    assert engine.stats == first and not engine.stats.exhausted
 
 
 def test_usp_file_source_matches_in_memory(tmp_path):
