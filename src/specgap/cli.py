@@ -82,7 +82,6 @@ class ExperimentSpec:
     max_path_length: int | None = None
     confidence: float | None = None
     seed: int = 0
-    workers: int = 1
     trials: int = 1
     nonlazy: bool = False
     mu_file: str | None = None
@@ -217,9 +216,9 @@ def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
     else:
         oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
         if spec.mu_file is not None:
-            acc = weighted_collect(oracle, sampler, cfg, master, worker_count=spec.workers)
+            acc = weighted_collect(oracle, sampler, cfg, master)
         else:
-            acc = rtf_collect(RtfEngine(oracle, sampler, cfg, master, worker_count=spec.workers))
+            acc = rtf_collect(RtfEngine(oracle, sampler, cfg, master))
         oracle_calls = cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1)
     if acc.paths_completed == 0:  # no segment completed: the uninformative answer
         raw_ell_star, argmin_k = 1.0, 0
@@ -243,8 +242,6 @@ def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> Experiment
         raise ConfigError(f"unknown model {spec.model!r}")
     if spec.trials < 1:
         raise ConfigError("--trials must be >= 1")
-    if spec.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     if spec.model == "usp" and (spec.nonlazy or spec.mu_file):
         raise ConfigError("--nonlazy and --mu-file require the fresh-path model (rtf)")
     chain = build_chain(spec)
@@ -365,7 +362,7 @@ def format_report(report: ExperimentReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def reproduce_tables(max_n: int, trials: int, seed: int, graph_seed: int, workers: int) -> str:
+def reproduce_tables(max_n: int, trials: int, seed: int, graph_seed: int) -> str:
     """Run the standard grid and render the three summary tables."""
     budgets = [n for n in TABLE_BUDGETS if n <= max_n]
     if not budgets:
@@ -379,7 +376,7 @@ def reproduce_tables(max_n: int, trials: int, seed: int, graph_seed: int, worker
     blocks = []
     freq_rows = []
     for kind, params, label in instances:
-        spec0 = ExperimentSpec(chain=kind, seed=seed, workers=workers, **params)
+        spec0 = ExperimentSpec(chain=kind, seed=seed, **params)
         reports = [run_experiment(dataclasses.replace(spec0, n=n), with_timing=False) for n in budgets]
         first = reports[0]
         lines = [
@@ -460,7 +457,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--K", dest="max_path_length", type=int, default=None, help="override path length")
     parser.add_argument("--delta", dest="confidence", type=float, default=None, help="override confidence level")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--trials", type=int, default=1)
     parser.add_argument("--nonlazy", action="store_true", help="estimate via the two-step chain")
     parser.add_argument("--mu-file", type=str, default=None, help="start pmf, one probability per line")
@@ -499,7 +495,6 @@ def main(argv=None) -> int:
                                help="trials for the informative-frequency table")
     tables_parser.add_argument("--seed", type=int, default=0)
     tables_parser.add_argument("--graph-seed", type=int, default=0)
-    tables_parser.add_argument("--workers", type=int, default=1)
     tables_parser.add_argument("--out", type=str, default=None)
 
     cov_parser = sub.add_parser("coverage", help="empirical coverage check")
@@ -515,8 +510,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "tables":
             text = reproduce_tables(
-                max_n=args.max_n, trials=args.trials, seed=args.seed,
-                graph_seed=args.graph_seed, workers=args.workers,
+                max_n=args.max_n, trials=args.trials, seed=args.seed, graph_seed=args.graph_seed
             )
             _emit(text, args.out)
             return 0

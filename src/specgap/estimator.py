@@ -20,7 +20,6 @@ the whole estimation path uses O(K) memory regardless of state-space size.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -89,11 +88,6 @@ class ReturnCountAccumulator:
     @property
     def max_path_length(self) -> int:
         return len(self.counts)
-
-    def copy(self) -> "ReturnCountAccumulator":
-        out = copy.copy(self)
-        out.counts = self.counts.copy()
-        return out
 
 
 @dataclass(init=False)

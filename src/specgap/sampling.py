@@ -1,24 +1,22 @@
 """Sampling engines: turn a one-step simulator into per-k return counts.
 
 Two computational models are covered.  The fresh-path engine draws I
-independent length-K paths from a chosen initial distribution (and can fan
-the work out to parallel workers); the single-trajectory engine extracts
-independent uniformly-started segments from one long path by regenerating
-at freshly drawn uniform target states.
+independent length-K paths from a chosen initial distribution; the
+single-trajectory engine extracts independent uniformly-started segments
+from one long path by regenerating at freshly drawn uniform target states.
 ``rtf_collect``, ``weighted_collect`` and ``estimate_nonlazy`` all run
 fresh paths through one collector.
 
 Randomness discipline: path j draws from the Philox stream with key
 (master_seed, j) starting at counter 0, so the collected counts are a pure
-function of (master_seed, config, chain) - independent of worker count,
-scheduling, and whether the chain is stepped scalar or vectorized.  Paths
-are processed in fixed-size blocks added up in block order; workers only
-decide who runs which block.  ``worker_count > 1`` runs blocks in threads,
-which pays only for heavy kernels, and a failure cancels the blocks not yet
-started.  Each block owns one Philox generator and resets its key and counter
-for every path instead of building a generator per path.  The ``rng``
-handed to ``InitialSampler.sample`` and ``TransitionOracle.next_state`` is
-therefore valid only while that path runs and must not be kept.
+function of (master_seed, config, chain) - independent of how the paths are
+split into blocks and of whether the chain is stepped scalar or vectorized.
+Fixed-size blocks of paths run in order in the calling thread, so oracles
+need not be thread-safe, and each adds into one accumulator.  One Philox
+generator resets its key and counter for every path instead of building a
+generator per path.  The ``rng`` handed to ``InitialSampler.sample`` and
+``TransitionOracle.next_state`` is therefore valid only while that path
+runs and must not be kept.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -27,12 +25,9 @@ simulator does.  The states in between are not checked.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -63,8 +58,8 @@ __all__ = [
     "TraceFile",
 ]
 
-#: Paths per scheduling block.  Fixed (not a tuning knob) so that results
-#: cannot depend on how many workers the blocks are dealt to.
+#: Paths per block.  Fixed (not a tuning knob): weighted float sums are added
+#: up block by block, and a vectorized block holds its B x K uniforms at once.
 BLOCK_SIZE = 1024
 
 #: Stream keys reserved for non-path randomness (path keys are 0..I-1).
@@ -93,8 +88,8 @@ class _PathStreams:
     counter): resetting the key to (master_seed, j), the counter to 0 and
     emptying the output buffers makes ``self(j)`` draw exactly what
     ``path_rng(master_seed, j)`` draws.  Calling it again invalidates the
-    generator it returned before.  Build one per block, so that blocks
-    running concurrently never share a bit generator.
+    generator it returned before, so one instance serves paths that run
+    one after another, such as those of one collection.
     """
 
     def __init__(self, master_seed: int):
@@ -132,7 +127,10 @@ class CollectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RtfEngine:
-    """Fresh-path collection plan: I paths of length K from `initial` starts."""
+    """Fresh-path collection plan: I paths of length K from `initial` starts.
+
+    ``worker_count`` must be at least 1 and has no effect: blocks run in the calling thread.
+    """
 
     oracle: TransitionOracle
     initial: InitialSampler
@@ -152,13 +150,11 @@ def _check_range(states, n, what):
         raise ValueError(f"{what} {lo if lo < 0 else hi} outside [0, {n})")
 
 
-def _collect_block_vectorized(engine, empty, weight, start, stop):
-    acc = empty.copy()
+def _collect_block_vectorized(engine, acc, weight, streams, start, stop):
     K, n = engine.config.max_path_length, engine.config.state_space_size
     ups = engine.oracle.uniforms_per_step
     # All or nothing: a failure anywhere in the block commits none of its paths.
     try:
-        streams = _PathStreams(engine.master_seed)
         x0 = np.empty(stop - start, dtype=np.int64)
         uniforms = np.empty((stop - start, K * ups))
         for j in range(stop - start):
@@ -183,16 +179,14 @@ def _collect_block_vectorized(engine, empty, weight, start, stop):
             f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=acc
         ) from exc
     acc.counts += counts
-    acc.paths_completed = stop - start
-    return acc
+    acc.paths_completed += stop - start
 
 
-def _collect_block_scalar(engine, empty, weight, start, stop):
-    acc = empty.copy()
+def _collect_block_scalar(engine, acc, weight, streams, start, stop):
     next_state, sample = engine.oracle.next_state, engine.initial.sample
     K, n = engine.config.max_path_length, engine.config.state_space_size
     returns = np.empty(K, dtype=bool)
-    streams = _PathStreams(engine.master_seed)
+    counts = np.zeros_like(acc.counts)  # the block's sum, added to `acc` as one term
     for j in range(start, stop):
         rng = streams(j)
         try:
@@ -206,45 +200,32 @@ def _collect_block_scalar(engine, empty, weight, start, stop):
             if not 0 <= operator.index(x) < n:
                 raise ValueError(f"final state {x} outside [0, {n})")
         except Exception as exc:
+            # Commit only completed paths so counts[k] <= paths_completed holds.
+            acc.counts += counts
+            acc.paths_completed += j - start
             raise CollectionError(
                 f"simulator failed on path {j}: {exc}", partial=acc
             ) from exc
-        # Commit only completed paths so counts[k] <= paths_completed holds.
-        acc.counts += returns if w is None else returns * w
-        acc.paths_completed += 1
-    return acc
+        counts += returns if w is None else returns * w
+    acc.counts += counts
+    acc.paths_completed += stop - start
 
 
-def _add(total: ReturnCountAccumulator, acc: ReturnCountAccumulator) -> ReturnCountAccumulator:
-    """Add ``acc`` into ``total`` and return ``total``."""
-    total.counts = total.counts + acc.counts
-    total.paths_completed += acc.paths_completed
-    return total
-
-
-def _collect(engine: RtfEngine, empty: ReturnCountAccumulator, weight=None):
-    """Run ``engine``'s blocks into copies of ``empty`` and add them in block order.
+def _collect(engine: RtfEngine, acc: ReturnCountAccumulator, weight=None):
+    """Run ``engine``'s blocks in block order, adding each into ``acc``; return ``acc``.
 
     A path adds 1 to ``counts[k-1]`` when it is back at its start x0 after k
     steps, or ``weight(x0)`` when a weight is given; a raising ``weight``
     fails the path like a raising simulator.  A ``CollectionError``'s
-    ``partial`` holds the blocks before the failing one plus its own partial.
+    ``partial`` is ``acc``, holding the paths committed before the failure.
     """
     vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
-    block = functools.partial(
-        _collect_block_vectorized if vectorized else _collect_block_scalar, engine, empty, weight
-    )
-    starts = range(0, engine.config.num_paths, BLOCK_SIZE)
-    stops = [*starts[1:], engine.config.num_paths]
-    total = empty.copy()
-    serial = engine.worker_count == 1
-    with nullcontext() if serial else ThreadPoolExecutor(engine.worker_count) as pool:
-        try:
-            for acc in (map if serial else pool.map)(block, starts, stops):
-                _add(total, acc)
-        except CollectionError as exc:
-            raise CollectionError(str(exc), partial=_add(total, exc.partial)) from exc.__cause__
-    return total
+    block = _collect_block_vectorized if vectorized else _collect_block_scalar
+    streams = _PathStreams(engine.master_seed)
+    num_paths = engine.config.num_paths
+    for start in range(0, num_paths, BLOCK_SIZE):
+        block(engine, acc, weight, streams, start, min(start + BLOCK_SIZE, num_paths))
+    return acc
 
 
 def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
@@ -272,7 +253,8 @@ def weighted_collect(
     min_pmf/pmf(start) to every k at which the path sits in its start state.
     A start whose pmf is zero or below ``initial.min_pmf()`` (a weight
     above 1) fails its path with ``CollectionError``.  With a uniform
-    sampler this reduces exactly to unweighted counting.
+    sampler this reduces exactly to unweighted counting.  ``worker_count``
+    has no effect (see ``RtfEngine``).
     """
     min_pmf = initial.min_pmf()
     if min_pmf <= 0.0:
@@ -316,7 +298,7 @@ def estimate_nonlazy(
 
     ``cfg`` describes the squared-chain run: cfg.num_paths paths of
     cfg.max_path_length two-step transitions, so the one-step budget is
-    2 * I * K inner calls.
+    2 * I * K inner calls.  ``worker_count`` has no effect (see ``RtfEngine``).
     """
     engine = RtfEngine(SquaredChainOracle(oracle), initial, cfg, master_seed, worker_count)
     raw = finalize_estimate(rtf_collect(engine), cfg)

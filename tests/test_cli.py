@@ -83,20 +83,6 @@ def test_run_byte_reproducible_without_timing(capsys):
     assert out1 == out2
 
 
-def test_run_worker_counts_identical_reports(capsys):
-    outs = []
-    for workers in ("1", "4"):
-        _, out, _ = run_cli(
-            capsys,
-            ["run", "--chain", "line", "--n", "30000", "--seed", "5", "--workers", workers,
-             "--format", "json", "--no-timing"],
-        )
-        doc = json.loads(out)
-        doc["spec"].pop("workers")
-        outs.append(doc)
-    assert outs[0] == outs[1]
-
-
 def test_run_writes_output_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -394,19 +380,19 @@ GOLDEN_ARGV = ["run", "--chain", "line", "--size", "20", "--p", "0.7", "--n", "5
 # SHA-256 of the report, with the --mu-file path replaced by "mu.txt".
 GOLDEN_REPORTS = {
     ("plain", "json"):
-        "98cdd5211717b0e3b354587dad77e4cd4b55f820aff135365f96cde7cf5d836c",
+        "16262778eaf0860161d7ede69f544c1ffd47c01bafa8fe3dfa70896bec850d64",
     ("plain", "csv"):
         "84bb9779f31cd4816459a4b4e3b1fd7063d31c52ff76b849d68d8b7b6a35b9d3",
     ("nonlazy", "json"):
-        "01c674c55ddf0e8e4d378b35e7b04b95be642cb6f680a8d6860acafb466cf9b1",
+        "032dea4f0fd05e06dcd80917d73d6d5bf885e6896afbf7fbd313cc33de53eaea",
     ("nonlazy", "csv"):
         "e417291db6453fd2749491d12272160363551bef7f453a4bf8735a81accaa254",
     ("mu", "json"):
-        "585184a8e91c0f2e5a46a4c4d120fb91410789d15984e696ffdb5c6a3862f115",
+        "662dfb322080f7fe91cda4e10633ae5f9db3bb00ed3b7a377b7045a38bbc54b5",
     ("mu", "csv"):
         "40b7ad7ccb46d72329f50c9b8b639b79f6500ae520d230d58fd357faaaaa764b",
     ("nonlazy-mu", "json"):
-        "4bc80e261bb3e7ff2b143aade2c986b2cde211454dd60c6a63ffd446172d966d",
+        "a8083af1372ffb12663b6d5b43397b7eca18f550d9d8658fcd1303ac970b4c27",
     ("nonlazy-mu", "csv"):
         "c0d724e1a5d000441b12db26f7d3bd3aa95f3c12802dd7bdfcc77912e194c29f",
 }
@@ -440,15 +426,15 @@ USP_ARGV = ["run", "--chain", "line", "--size", "8", "--p", "0.7", "--model", "u
 # "outside" reads a trace whose every state is 50, so no segment completes.
 GOLDEN_USP_REPORTS = {
     ("oracle", "json"):
-        "eab61c00e8e528f3a68c5b3de341d299177293dd141be1b2d807f3b76c36c046",
+        "ef2c135845cb43936d6e4c0e63a4459e0a11bcb4683d7bc0dd187f3ed7af2d0a",
     ("oracle", "csv"):
         "a6c000755d17cb2cfc761cf624c6f8a2e8f062b247bd89945d320c8f008a045e",
     ("file", "json"):
-        "931663e61a7eb8f4d970a95555aada9baf4165f2dacfeb418dda80396227d060",
+        "7033c05de67aa460e693979e877319922168a0c8ab58de12be135fe9e545e042",
     ("file", "csv"):
         "f415588988394041469d8225070de60291e423c637a8b2addd51a2664ecdd658",
     ("outside", "json"):
-        "14f165282ef683593816b5d8d4713aab12b67bc2e39b54e20c0a6c098423f3d0",
+        "cccf520a22f41f7c648c1cb793b6d2bdfee0dd0fba9ecd8be7ff237aed590bce",
     ("outside", "csv"):
         "238d1b0b62252e04adaa3be2c3e09a5d63dee34cfba9767e24e2abf9ceef219b",
 }

@@ -104,19 +104,34 @@ class SamplerFailsAfter:
 
 
 class SamplerFailsOnce(SamplerFailsAfter):
-    """Raises on draw `limit + 1` only; counts draws under a lock, as threads share it."""
-
-    def __init__(self, size, limit):
-        super().__init__(size, limit)
-        self.lock = threading.Lock()
+    """Raises on draw `limit + 1` only."""
 
     def sample(self, rng):
-        with self.lock:
-            self.draws += 1
-            fail = self.draws == self.limit + 1
-        if fail:
+        self.draws += 1
+        if self.draws == self.limit + 1:
             raise RuntimeError("sampler boom")
         return self.inner.sample(rng)
+
+
+class ThreadSpy:
+    """Line walk that records the thread of every `next_state` and kernel call."""
+
+    uniforms_per_step = 1
+
+    def __init__(self):
+        self.inner = BiasedLineChain(20, 0.7)
+        self.threads = set()
+
+    def state_space_size(self):
+        return 20
+
+    def next_state(self, x, rng):
+        self.threads.add(threading.get_ident())
+        return self.inner.next_state(x, rng)
+
+    def step_with_uniforms(self, xs, us):
+        self.threads.add(threading.get_ident())
+        return self.inner.step_with_uniforms(xs, us)
 
 
 class KernelReturns:
@@ -216,6 +231,15 @@ def test_worker_counts_do_not_change_counts():
         assert np.array_equal(base.counts, other.counts)
 
 
+@pytest.mark.parametrize("scalar", [False, True])
+def test_collection_runs_in_the_calling_thread(scalar):
+    spy = ThreadSpy()
+    oracle = ScalarOnly(spy) if scalar else spy
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # three blocks
+    rtf_collect(RtfEngine(oracle, UniformSampler(20), cfg, 5, worker_count=2))
+    assert spy.threads == {threading.get_ident()}
+
+
 def test_master_seed_changes_counts():
     cfg = UcpiConfig(2, 500, 5, 0.1)
     a = rtf_collect(make_engine(TWO_STATE, cfg, 7))
@@ -309,27 +333,24 @@ def test_scalar_sampler_failure_raises_collection_error(workers):
         rtf_collect(RtfEngine(ScalarOnly(chain), sampler, UcpiConfig(20, 3000, K, 0.1), 5, workers))
     partial = exc_info.value.partial
     assert str(exc_info.value.__cause__) == "sampler boom"
-    if workers == 1:
-        assert partial.paths_completed == 1500
-    # Threads interleave their draws, but what completed is still a prefix of the paths.
-    assert 0 < partial.paths_completed < 3000
+    assert partial.paths_completed == 1500
     assert np.all(partial.counts <= partial.paths_completed)
-    clean = rtf_collect(make_engine(chain, UcpiConfig(20, partial.paths_completed, K, 0.1), 5))
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 1500, K, 0.1), 5))
     assert np.array_equal(partial.counts, clean.counts)
 
 
 def test_failure_cancels_blocks_not_yet_started():
     blocks = 50
-    sampler = SamplerFailsOnce(20, limit=9)  # fails inside block 0 or 1
+    sampler = SamplerFailsOnce(20, limit=9)  # fails inside block 0
     cfg = UcpiConfig(20, blocks * BLOCK_SIZE, 1, 0.1)
     with pytest.raises(CollectionError) as exc_info:
         rtf_collect(RtfEngine(BiasedLineChain(20, 0.7), sampler, cfg, 5, worker_count=2))
     assert str(exc_info.value.__cause__) == "sampler boom"
-    # Fewer than half of the blocks drew any start: the rest were cancelled.
-    assert sampler.draws < blocks // 2 * BLOCK_SIZE
+    # No start is drawn after the failing one: no later block began.
+    assert sampler.draws == sampler.limit + 1
     partial = exc_info.value.partial
-    assert partial.paths_completed in (0, BLOCK_SIZE)
-    assert np.all(partial.counts <= partial.paths_completed)
+    assert partial.paths_completed == 0
+    assert not partial.counts.any()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -352,7 +373,7 @@ def test_bad_kernel_output_raises_collection_error(mangle, shape, dtype, workers
 
 
 OUT_OF_RANGE = {
-    # id: (oracle, start sampler, paths completed before the failure at workers=1, message)
+    # id: (oracle, start sampler, paths completed before the failure, message)
     "scalar-half": (
         lambda: ScalarReturns(lambda x: x + 0.5), lambda: UniformSampler(20), 0,
         "cannot be interpreted as an integer",
@@ -387,8 +408,7 @@ def test_out_of_range_states_raise_collection_error(case, workers):
     assert isinstance(exc_info.value.__cause__, (TypeError, ValueError))
     partial = exc_info.value.partial
     assert np.all(partial.counts <= partial.paths_completed)
-    if workers == 1:
-        assert partial.paths_completed == completed
+    assert partial.paths_completed == completed
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +456,7 @@ def test_split_collection_merges_to_full_run():
     # same master seed, paths split across two engines by block boundaries
     cfg_full = UcpiConfig(2, 2 * BLOCK_SIZE, 4, 0.1)
     full = rtf_collect(make_engine(TWO_STATE, cfg_full, 11))
-    # re-run with worker_count=2: same blocks, different scheduling
+    # worker_count=2 is accepted and changes nothing
     split = rtf_collect(make_engine(TWO_STATE, cfg_full, 11, workers=2))
     assert np.array_equal(full.counts, split.counts)
 
