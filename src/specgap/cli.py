@@ -50,7 +50,6 @@ from .sampling import (
     states_from_file,
     trajectory_from_oracle,
     usp_collect,
-    weighted_collect,
 )
 
 __all__ = ["ExperimentSpec", "ExperimentReport", "run_experiment", "reproduce_tables", "coverage_study", "main"]
@@ -215,10 +214,7 @@ def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
         usp_fields = {"segments": acc.paths_completed, "mean_wait": engine.stats.mean_wait}
     else:
         oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
-        if spec.mu_file is not None:
-            acc = weighted_collect(oracle, sampler, cfg, master)
-        else:
-            acc = rtf_collect(RtfEngine(oracle, sampler, cfg, master))
+        acc = rtf_collect(RtfEngine(oracle, sampler, cfg, master))
         oracle_calls = cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1)
     if acc.paths_completed == 0:  # no segment completed: the uninformative answer
         raw_ell_star, argmin_k = 1.0, 0
@@ -247,10 +243,8 @@ def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> Experiment
     chain = build_chain(spec)
     n_states = chain.state_space_size()
     cfg = resolve_config(spec, n_states)
-    if spec.mu_file is None:
-        sampler = UniformSampler(n_states)
-    else:
-        sampler = _load_mu_sampler(spec.mu_file, n_states)
+    mu_file = spec.mu_file
+    sampler = UniformSampler(n_states) if mu_file is None else _load_mu_sampler(mu_file, n_states)
     lam_star, t_r, skip = _exact_values(chain, spec.nonlazy)
 
     started = time.perf_counter()

@@ -4,8 +4,13 @@ Two computational models are covered.  The fresh-path engine draws I
 independent length-K paths from a chosen initial distribution; the
 single-trajectory engine extracts independent uniformly-started segments
 from one long path by regenerating at freshly drawn uniform target states.
-``rtf_collect``, ``weighted_collect`` and ``estimate_nonlazy`` all run
-fresh paths through one collector.
+
+Fresh paths run through one collector.  It reads the start law's
+``min_pmf`` once, and unless ``min_pmf * |S|`` lies in (0, 1 + 1e-12] it
+raises ``ValueError`` before any path runs: such a law cannot give mass to
+every state of [0, |S|).  A uniform law (``min_pmf == 1/|S|``) counts
+returns as integers; any other law, and every ``weighted_collect`` call,
+adds min_pmf/pmf(x0) per return.
 
 Randomness discipline: path j draws from the Philox stream with key
 (master_seed, j) starting at counter 0, so the collected counts are a pure
@@ -211,20 +216,35 @@ def _collect_block_scalar(engine, acc, weight, streams, start, stop):
     acc.paths_completed += stop - start
 
 
-def _collect(engine: RtfEngine, acc: ReturnCountAccumulator, weight=None):
-    """Run ``engine``'s blocks in block order, adding each into ``acc``; return ``acc``.
+def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulator:
+    """Run ``engine``'s blocks in block order into one accumulator; return it.
 
-    A path adds 1 to ``counts[k-1]`` when it is back at its start x0 after k
-    steps, or ``weight(x0)`` when a weight is given; a raising ``weight``
-    fails the path like a raising simulator.  A ``CollectionError``'s
-    ``partial`` is ``acc``, holding the paths committed before the failure.
+    The start law decides the counting (see the module docstring).  A start
+    whose pmf is zero or below ``min_pmf`` (a weight above 1) fails its path
+    like a raising simulator.  A ``CollectionError``'s ``partial`` holds the
+    paths committed before the failure.
     """
+    initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
+    min_pmf = initial.min_pmf()
+    if not 0.0 < min_pmf * n <= 1.0 + 1e-12:
+        raise ValueError(f"start law min_pmf {min_pmf} cannot give mass to all {n} states")
+    if min_pmf == 1.0 / n and not weighted:
+        acc, weight = ReturnCountAccumulator.empty(cfg.max_path_length), None
+    else:
+        acc = WeightedReturnAccumulator.empty(cfg.max_path_length, w_max=1.0 / min_pmf)
+
+        def weight(x0):
+            p = initial.pmf(x0)
+            if not p >= min_pmf:  # zero, or a weight above 1
+                reason = "zero pmf" if p <= 0.0 else f"pmf {p} below min_pmf {min_pmf}"
+                raise ValueError(f"sampler produced state {x0} with {reason}")
+            return min_pmf / p
+
     vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
     block = _collect_block_vectorized if vectorized else _collect_block_scalar
     streams = _PathStreams(engine.master_seed)
-    num_paths = engine.config.num_paths
-    for start in range(0, num_paths, BLOCK_SIZE):
-        block(engine, acc, weight, streams, start, min(start + BLOCK_SIZE, num_paths))
+    for start in range(0, cfg.num_paths, BLOCK_SIZE):
+        block(engine, acc, weight, streams, start, min(start + BLOCK_SIZE, cfg.num_paths))
     return acc
 
 
@@ -233,11 +253,12 @@ def rtf_collect(engine: RtfEngine) -> ReturnCountAccumulator:
 
     Each path starts at a state drawn from ``engine.initial``, is stepped
     exactly K times (I*K one-step calls in total, no early exit), and
-    contributes one indicator per k.  Vectorized in blocks when the oracle
-    provides ``step_with_uniforms``; the scalar fallback produces identical
-    counts because both consume the same per-path streams.
+    contributes one term per k: 1 under a uniform start law, and
+    ``weighted_collect``'s weight under any other.  Vectorized in blocks when
+    the oracle provides ``step_with_uniforms``; the scalar fallback produces
+    identical counts because both consume the same per-path streams.
     """
-    return _collect(engine, ReturnCountAccumulator.empty(engine.config.max_path_length))
+    return _collect(engine)
 
 
 def weighted_collect(
@@ -250,25 +271,10 @@ def weighted_collect(
     """Collect importance-weighted return indicators under starts from ``initial``.
 
     Per path: draw a start from the sampler's pmf, simulate K steps, and add
-    min_pmf/pmf(start) to every k at which the path sits in its start state.
-    A start whose pmf is zero or below ``initial.min_pmf()`` (a weight
-    above 1) fails its path with ``CollectionError``.  With a uniform
-    sampler this reduces exactly to unweighted counting.  ``worker_count``
-    has no effect (see ``RtfEngine``).
+    min_pmf/pmf(start) to every k at which the path sits in its start state,
+    uniform starts included.  ``worker_count`` has no effect (see ``RtfEngine``).
     """
-    min_pmf = initial.min_pmf()
-    if min_pmf <= 0.0:
-        raise ValueError("initial sampler must have strictly positive min_pmf")
-
-    def weight(x0):
-        p = initial.pmf(x0)
-        if not p >= min_pmf:  # zero, or a weight above 1
-            reason = "zero pmf" if p <= 0.0 else f"pmf {p} below min_pmf {min_pmf}"
-            raise ValueError(f"sampler produced state {x0} with {reason}")
-        return min_pmf / p
-
-    empty = WeightedReturnAccumulator.empty(cfg.max_path_length, w_max=1.0 / min_pmf)
-    return _collect(RtfEngine(oracle, initial, cfg, master_seed, worker_count), empty, weight)
+    return _collect(RtfEngine(oracle, initial, cfg, master_seed, worker_count), weighted=True)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from specgap.chains import (
@@ -12,6 +14,7 @@ from specgap.chains import (
     UniformSampler,
 )
 from specgap.estimator import (
+    ReturnCountAccumulator,
     UcpiConfig,
     WeightedReturnAccumulator,
     config_for_budget,
@@ -23,6 +26,7 @@ from specgap.sampling import (
     CollectionError,
     RtfEngine,
     estimate_nonlazy,
+    path_rng,
     rtf_collect,
     weighted_collect,
 )
@@ -170,13 +174,129 @@ def test_weighted_uniform_finalizes_identically_to_plain_pipeline():
 
 
 def test_weighted_single_state_support():
-    # absorbing state with a point-mass sampler: every weighted term is 1
-    absorbing = DenseMatrixChain([[1.0]])
+    # A point mass on a 1-state chain leaves state 1 of an |S| = 2 config
+    # without mass, so its counts would bound nothing: no path runs.
+    absorbing = CallCounter(DenseMatrixChain([[1.0]]))
     sampler = TabularSampler([1.0])
-    cfg = UcpiConfig(2, 25, 3, 0.1)  # config |S| is irrelevant to collection
-    acc = weighted_collect(absorbing, sampler, cfg, master_seed=1)
-    assert np.array_equal(acc.weighted_sums, np.full(3, 25.0))
+    cfg = UcpiConfig(2, 25, 3, 0.1)
+    with pytest.raises(ValueError, match="min_pmf 1.0 cannot give mass to all 2 states"):
+        weighted_collect(absorbing, sampler, cfg, master_seed=1)
+    with pytest.raises(ValueError, match="min_pmf 1.0 cannot give mass to all 2 states"):
+        rtf_collect(RtfEngine(absorbing, sampler, cfg, 1))
+    assert absorbing.calls == 0
+
+
+def test_weighted_terms_are_one_on_an_identity_chain():
+    # every path stays at its uniform start: every weighted term is 1
+    cfg = UcpiConfig(2, 25, 3, 0.1)
+    acc = weighted_collect(DenseMatrixChain(np.eye(2)), TabularSampler([0.5, 0.5]), cfg, 1)
+    assert np.array_equal(acc.scaled_counts, np.full(3, 25.0))
+    assert np.array_equal(acc.weighted_sums, np.full(3, 50.0))
     assert acc.paths_completed == 25
+
+
+SKEWED = TabularSampler([0.01] * 5 + [0.95])  # min_pmf * |S| = 0.06
+
+
+def test_skewed_start_law_is_weighted_by_every_fresh_path_collector():
+    # Counted as integers, these returns gave ell_star = 0.0, far below
+    # lambda* = 0.7598; the rule weights them wherever the law comes in.
+    chain = BiasedLineChain(6, 0.9)
+    cfg = config_for_budget(10**6, 6)
+    lam_star = 0.7598076211353315
+    weighted = weighted_collect(chain, SKEWED, cfg, master_seed=0)
+    plain = rtf_collect(RtfEngine(chain, SKEWED, cfg, 0))
+    assert isinstance(plain, WeightedReturnAccumulator) and plain.w_max == weighted.w_max
+    assert np.array_equal(plain.scaled_counts, weighted.scaled_counts)
+    ell_star = finalize_estimate(plain, cfg).ell_star
+    assert ell_star == finalize_estimate(weighted, cfg).ell_star >= lam_star
+
+    nonlazy = estimate_nonlazy(chain, cfg, SKEWED, master_seed=0)
+    squared = weighted_collect(SquaredChainOracle(chain), SKEWED, cfg, master_seed=0)
+    assert nonlazy.squared_estimate.ell_star == finalize_estimate(squared, cfg).ell_star
+    assert nonlazy.spectral_radius_bound >= lam_star
+
+
+class ReportsMinPmf:
+    """Uniform draws on six states with any reported min_pmf."""
+
+    def __init__(self, min_pmf):
+        self.inner, self.reported = UniformSampler(6), min_pmf
+
+    def sample(self, rng):
+        return self.inner.sample(rng)
+
+    def pmf(self, x):
+        return self.inner.pmf(x)
+
+    def min_pmf(self):
+        return self.reported
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [UniformSampler(3), TabularSampler([0.5, 0.5]), ReportsMinPmf(0.0), ReportsMinPmf(-0.1),
+     ReportsMinPmf(float("nan")), ReportsMinPmf(1 / 6 + 1e-12)],
+    ids=["uniform-on-3", "tabular-on-2", "zero", "negative", "nan", "above-1/6"],
+)
+def test_start_law_without_full_support_runs_no_path(sampler):
+    # UniformSampler(3) on BiasedLineChain(6, 0.6) gave ell_star = 0.0,
+    # below lambda* = 0.9243: states 3..5 never start a path.
+    chain = CallCounter(BiasedLineChain(6, 0.6))
+    cfg = UcpiConfig(6, 100, 5, 0.1)
+    for collect in (
+        lambda: weighted_collect(chain, sampler, cfg, master_seed=0),
+        lambda: rtf_collect(RtfEngine(chain, sampler, cfg, 0)),
+        lambda: estimate_nonlazy(chain, cfg, sampler, master_seed=0),
+    ):
+        with pytest.raises(ValueError, match="cannot give mass to all 6 states"):
+            collect()
+    assert chain.calls == 0
+
+
+def test_start_law_within_the_sum_tolerance_is_accepted():
+    # TabularSampler accepts sums within 1e-12 of 1, so min_pmf * |S| may
+    # exceed 1 by as much; such a law is weighted with w_max < |S|.
+    sampler = TabularSampler([1 / 6 + 1e-13] * 6)
+    assert sampler.min_pmf() * 6 > 1.0
+    cfg = UcpiConfig(6, 100, 5, 0.1)
+    acc = rtf_collect(RtfEngine(BiasedLineChain(6, 0.6), sampler, cfg, 0))
+    assert isinstance(acc, WeightedReturnAccumulator) and acc.w_max < 6.0
+    assert np.array_equal(acc.scaled_counts, np.floor(acc.scaled_counts))  # every weight is 1
+    assert acc.paths_completed == 100
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.integers(2, 8),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8),
+    uniform=st.booleans(),
+    scalar=st.booleans(),
+    num_paths=st.integers(1, 2 * BLOCK_SIZE + 5),
+    K=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_rtf_collect_matches_weighted_collect_under_any_start_law(
+    size, weights, uniform, scalar, num_paths, K, seed
+):
+    chain = BiasedLineChain(size, 0.7)
+    oracle = CallCounter(chain) if scalar else chain
+    if uniform:
+        sampler = UniformSampler(size)
+    else:
+        w = np.array(weights[:size])
+        sampler = TabularSampler(w / w.sum())
+    cfg = UcpiConfig(size, num_paths, K, 0.1)
+    weighted = weighted_collect(oracle, sampler, cfg, seed)
+    got = rtf_collect(RtfEngine(oracle, sampler, cfg, seed))
+    assert got.paths_completed == weighted.paths_completed == num_paths
+    if sampler.min_pmf() == 1.0 / size:  # uniform: integer counts, each weight 1
+        assert type(got) is ReturnCountAccumulator and got.counts.dtype == np.int64
+        assert np.array_equal(got.counts, weighted.scaled_counts)
+    else:
+        assert isinstance(got, WeightedReturnAccumulator) and got.w_max == weighted.w_max
+        assert got.counts.dtype == np.float64
+        assert np.array_equal(got.scaled_counts, weighted.scaled_counts)
 
 
 def test_weighted_sums_unbiased_for_trace():
@@ -236,11 +356,15 @@ def test_weighted_rejects_zero_pmf_draws():
         weighted_collect(TWO_STATE, LyingSampler(), cfg, master_seed=0)
 
 
-class UnderstatesMinPmf:
-    """Uniform on four states (pmf 0.25) but reports min_pmf() = 0.5: weight 2."""
+class OverstatesMinPmf:
+    """pmf (0.1, 0.3, 0.3, 0.3) but reports min_pmf() = 0.2: state 0 weighs 2.
+
+    0.2 lies in (0, 1/4], so the start law passes the up-front check and
+    only the first path that starts at state 0 fails.
+    """
 
     def __init__(self):
-        self.inner = UniformSampler(4)
+        self.inner = TabularSampler([0.1, 0.3, 0.3, 0.3])
 
     def sample(self, rng):
         return self.inner.sample(rng)
@@ -249,7 +373,7 @@ class UnderstatesMinPmf:
         return self.inner.pmf(x)
 
     def min_pmf(self):
-        return 0.5
+        return 0.2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -258,12 +382,23 @@ def test_weighted_rejects_weights_above_one(scalar, workers):
     chain = BiasedLineChain(4, 0.5)
     oracle = CallCounter(chain) if scalar else chain
     cfg = UcpiConfig(4, 2000, 4, 0.1)
-    with pytest.raises(CollectionError, match="pmf 0.25 below min_pmf 0.5") as exc_info:
-        weighted_collect(oracle, UnderstatesMinPmf(), cfg, master_seed=0, worker_count=workers)
+    seed = 2
+    starts = (OverstatesMinPmf().sample(path_rng(seed, j)) for j in range(cfg.num_paths))
+    first_bad = next(j for j, x0 in enumerate(starts) if x0 == 0)
+    assert first_bad == 34
+    with pytest.raises(CollectionError, match="pmf 0.1 below min_pmf 0.2") as exc_info:
+        weighted_collect(oracle, OverstatesMinPmf(), cfg, master_seed=seed, worker_count=workers)
     partial = exc_info.value.partial
     assert isinstance(partial, WeightedReturnAccumulator)
-    assert partial.paths_completed == 0
     assert isinstance(exc_info.value.__cause__, ValueError)
+    if scalar:  # the paths before the first bad start are committed
+        clean = weighted_collect(oracle, OverstatesMinPmf(), UcpiConfig(4, first_bad, 4, 0.1), seed)
+        assert partial.paths_completed == first_bad
+        assert np.array_equal(partial.scaled_counts, clean.scaled_counts)
+        assert partial.scaled_counts.any()
+    else:  # the whole first block fails
+        assert partial.paths_completed == 0
+        assert np.array_equal(partial.scaled_counts, np.zeros(4))
 
 
 def test_weighted_vectorized_zero_pmf_names_the_block():
