@@ -353,6 +353,12 @@ class UspEngine:
     and memory stays O(CHUNK + K) however long the trajectory.  ``stats``
     is not a parameter: each ``usp_collect`` call replaces it with the
     stats of that call.
+
+    Each call reads a re-iterable source (a list, a ``TraceFile``) again
+    from its start and so repeats the same segments: never sum two calls.
+    A one-shot iterator (``iter(source) is source``) serves one call; a
+    later call raises ``ValueError`` instead of going on past the states
+    the first call read ahead.
     """
 
     source: Iterable[int]
@@ -361,6 +367,7 @@ class UspEngine:
     master_seed: int
     stats: UspStats = field(default_factory=UspStats, init=False)
     on_segment: Optional[Callable[[int], None]] = None
+    _source_read: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.segment_length < 1:
@@ -387,7 +394,9 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     A segment begins at the first time t strictly after the previous
     segment's end at which the trajectory hits an independently drawn
     uniform target; the strong Markov property makes the emitted segments
-    i.i.d. length-K paths with uniform starts.  Source exhaustion is a
+    i.i.d. length-K paths with uniform starts.  So a drawn target whose pmf
+    differs from ``target_sampler.min_pmf()`` raises ``ValueError``, as
+    does a second call over a one-shot source.  Source exhaustion is a
     normal partial result: the accumulator reports however many segments
     completed and ``engine.stats.exhausted`` is set.
 
@@ -402,18 +411,32 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     """
     if num_segments < 1:
         raise ValueError("num_segments must be >= 1")
+    if engine._source_read and iter(engine.source) is engine.source:
+        raise ValueError("source is a one-shot iterator that an earlier usp_collect call read")
     K = engine.segment_length
     acc = ReturnCountAccumulator.empty(K)
     stats = engine.stats = UspStats()
     rng = path_rng(engine.master_seed, TARGET_STREAM_KEY)
+    targets = engine.target_sampler
+    target_pmf = targets.min_pmf()
 
-    target = engine.target_sampler.sample(rng)
+    def draw_target():
+        target = targets.sample(rng)
+        if targets.pmf(target) != target_pmf:
+            raise ValueError(
+                f"target {target} has pmf {targets.pmf(target)}, not min_pmf {target_pmf}: "
+                "USP targets must be uniform"
+            )
+        return target
+
+    target = draw_target()
     boundary = 0  # previous segment start + K; next start must satisfy t > boundary
     start_state = None  # start of the segment being filled; None while searching
     filled = 0  # steps of that segment seen so far
     returns = np.empty(K, dtype=bool)
     offset = 0  # source index of the current chunk's first state
 
+    engine._source_read = True
     for x in _int64_chunks(engine.source):
         n = len(x)
         i = 0  # next position of x to read while filling
@@ -434,7 +457,7 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
                     stats.source_steps_consumed = offset + i
                     return acc
                 start_state = None
-                target = engine.target_sampler.sample(rng)
+                target = draw_target()
             lo = max(0, boundary + 1 - offset)
             if lo >= n:
                 break

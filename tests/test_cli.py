@@ -121,6 +121,13 @@ def test_run_non_reversible_matrix_skips_exact(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["exact"] is None
     assert "reversible" in doc["exact_skipped_reason"]
+    code, out, _ = run_cli(
+        capsys,
+        ["run", "--chain", "matrix", "--matrix-file", str(path), "--n", "20000",
+         "--format", "table", "--no-timing"],
+    )
+    assert code == 0
+    assert f"exact comparison skipped: {doc['exact_skipped_reason']}" in out.splitlines()
 
 
 def test_run_usp_model(capsys):
@@ -194,6 +201,9 @@ def test_run_mu_file(tmp_path, capsys):
         ["run", "--chain", "line", "--n", "20000", "--trials", "0"],
         ["coverage", "--chain", "line", "--n", "20000", "--trials", "10"],
         ["run", "--chain", "line", "--nonlazy", "--n", "20"],  # 10 two-step transitions
+        ["run", "--chain", "line", "--size", "1", "--n", "20000"],
+        ["run", "--chain", "line", "--n", "20000", "--I", "0"],  # overrides fail in resolve_config
+        ["run", "--chain", "line", "--n", "20000", "--delta", "1.5"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):

@@ -544,6 +544,18 @@ def test_usp_reused_engine_reports_each_call_alone():
     assert engine.stats == first and not engine.stats.exhausted
 
 
+def test_usp_one_shot_source_serves_one_call():
+    states = np.random.default_rng(2).integers(0, 5, 5000).tolist()
+    engine = UspEngine(iter(states), 5, UniformSampler(5), 7)
+    first = usp_collect(engine, 10)
+    assert first.paths_completed == 10
+    with pytest.raises(ValueError, match="one-shot iterator"):
+        usp_collect(engine, 10)
+    # a fresh engine over a fresh iterator repeats the first call
+    again = usp_collect(UspEngine(iter(states), 5, UniformSampler(5), 7), 10)
+    assert np.array_equal(again.counts, first.counts)
+
+
 def test_usp_file_source_matches_in_memory(tmp_path):
     rng = np.random.default_rng(31)
     states = rng.integers(0, 6, size=4000)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap.chains import UniformSampler
-from specgap.estimator import ReturnCountAccumulator
+from specgap.chains import BiasedLineChain, TabularSampler, UniformSampler
+from specgap.estimator import ReturnCountAccumulator, config_for_budget
 from specgap.sampling import (
     CHUNK,
     TARGET_STREAM_KEY,
@@ -20,6 +20,7 @@ from specgap.sampling import (
     UspEngine,
     path_rng,
     states_from_file,
+    trajectory_from_oracle,
     usp_collect,
 )
 
@@ -78,6 +79,9 @@ class FixedTargets:
         return next(self.targets)
 
     def pmf(self, x):
+        return 0.0
+
+    def min_pmf(self):
         return 0.0
 
 
@@ -241,6 +245,18 @@ def test_target_draws_follow_the_reference(tmp_path):
         extract(collect, source, 7, Recording(4, logs[name]), 50, seed=9)
     assert logs["list"] == logs["reference"] == logs["file"]
     assert len(logs["reference"]) == 50
+
+
+def test_skewed_targets_are_rejected_naming_the_target():
+    # Skewed targets emitted 6,014 segments here and ell_star = 0.0, below
+    # lambda* = 0.9243; uniform targets give 7,878 segments and 0.9415.
+    chain = BiasedLineChain(6, 0.6)
+    cfg = config_for_budget(2 * 10**6, 6)
+    source = trajectory_from_oracle(chain, 0, master_seed=1, max_steps=2 * 10**6)
+    skewed = TabularSampler([0.01] * 5 + [0.95])
+    engine = UspEngine(source, cfg.max_path_length, skewed, master_seed=1)
+    with pytest.raises(ValueError, match=r"^target 5 has pmf 0\.95, not min_pmf 0\.01"):
+        usp_collect(engine, cfg.num_paths)
 
 
 # ---------------------------------------------------------------------------
