@@ -218,10 +218,10 @@ def test_skewed_start_law_is_weighted_by_every_fresh_path_collector():
 
 
 class ReportsMinPmf:
-    """Uniform draws on six states with any reported min_pmf."""
+    """Draws and pmf of ``inner``, with any reported min_pmf."""
 
-    def __init__(self, min_pmf):
-        self.inner, self.reported = UniformSampler(6), min_pmf
+    def __init__(self, min_pmf, inner=UniformSampler(6)):
+        self.inner, self.reported = inner, min_pmf
 
     def sample(self, rng):
         return self.inner.sample(rng)
@@ -356,24 +356,9 @@ def test_weighted_rejects_zero_pmf_draws():
         weighted_collect(TWO_STATE, LyingSampler(), cfg, master_seed=0)
 
 
-class OverstatesMinPmf:
-    """pmf (0.1, 0.3, 0.3, 0.3) but reports min_pmf() = 0.2: state 0 weighs 2.
-
-    0.2 lies in (0, 1/4], so the start law passes the up-front check and
-    only the first path that starts at state 0 fails.
-    """
-
-    def __init__(self):
-        self.inner = TabularSampler([0.1, 0.3, 0.3, 0.3])
-
-    def sample(self, rng):
-        return self.inner.sample(rng)
-
-    def pmf(self, x):
-        return self.inner.pmf(x)
-
-    def min_pmf(self):
-        return 0.2
+# pmf (0.1, 0.3, 0.3, 0.3) but min_pmf() = 0.2, inside (0, 1/4]: the law passes
+# the up-front check, and only a path that starts at state 0 (weight 2) fails.
+OVERSTATES_MIN_PMF = ReportsMinPmf(0.2, TabularSampler([0.1, 0.3, 0.3, 0.3]))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -383,16 +368,16 @@ def test_weighted_rejects_weights_above_one(scalar, workers):
     oracle = CallCounter(chain) if scalar else chain
     cfg = UcpiConfig(4, 2000, 4, 0.1)
     seed = 2
-    starts = (OverstatesMinPmf().sample(path_rng(seed, j)) for j in range(cfg.num_paths))
+    starts = (OVERSTATES_MIN_PMF.sample(path_rng(seed, j)) for j in range(cfg.num_paths))
     first_bad = next(j for j, x0 in enumerate(starts) if x0 == 0)
     assert first_bad == 34
     with pytest.raises(CollectionError, match="pmf 0.1 below min_pmf 0.2") as exc_info:
-        weighted_collect(oracle, OverstatesMinPmf(), cfg, master_seed=seed, worker_count=workers)
+        weighted_collect(oracle, OVERSTATES_MIN_PMF, cfg, master_seed=seed, worker_count=workers)
     partial = exc_info.value.partial
     assert isinstance(partial, WeightedReturnAccumulator)
     assert isinstance(exc_info.value.__cause__, ValueError)
     if scalar:  # the paths before the first bad start are committed
-        clean = weighted_collect(oracle, OverstatesMinPmf(), UcpiConfig(4, first_bad, 4, 0.1), seed)
+        clean = weighted_collect(oracle, OVERSTATES_MIN_PMF, UcpiConfig(4, first_bad, 4, 0.1), seed)
         assert partial.paths_completed == first_bad
         assert np.array_equal(partial.scaled_counts, clean.scaled_counts)
         assert partial.scaled_counts.any()
