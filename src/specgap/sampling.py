@@ -15,13 +15,28 @@ adds min_pmf/pmf(x0) per return.
 Randomness discipline: path j draws from the Philox stream with key
 (master_seed, j) starting at counter 0, so the collected counts are a pure
 function of (master_seed, config, chain) - independent of how the paths are
-split into blocks and of whether the chain is stepped scalar or vectorized.
-Fixed-size blocks of paths run in order in the calling thread, so oracles
-need not be thread-safe, and each adds into one accumulator.  One Philox
-generator resets its key and counter for every path instead of building a
-generator per path.  The ``rng`` handed to ``InitialSampler.sample`` and
+split into blocks, of the process that runs a block and of whether the
+chain is stepped scalar or vectorized.  One Philox generator resets its key
+and counter for every path instead of building a generator per path.  The
+``rng`` handed to ``InitialSampler.sample`` and
 ``TransitionOracle.next_state`` is therefore valid only while that path
 runs and must not be kept.
+
+Fixed-size blocks of paths are added into one accumulator in block order.
+With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
+the blocks are split into up to ``worker_count`` contiguous runs, each
+computed by a process forked for the call (Linux ``fork``; about 10 ms to
+start the pool, so a call of a few blocks can be slower than serial).  The
+engine reaches the children by fork inheritance, so oracles need not be
+picklable, and a stateful oracle's or sampler's state lives in each child:
+the caller's copy does not see their calls.  Only block ranges and the
+blocks' K-vectors cross the process boundary, and the parent adds the
+vectors in block order, so the counts are bit-identical at any worker
+count.  Scalar-only oracles run every block in the calling thread, because
+black-box simulators are often stateful and their callers may count their
+calls; so do platforms without ``fork`` and calls made in a daemonic
+process, which may not start children.  From Python 3.12, forking a process
+that holds threads (a BLAS pool, say) raises a ``DeprecationWarning``.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -33,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -134,7 +150,11 @@ class CollectionError(RuntimeError):
 class RtfEngine:
     """Fresh-path collection plan: I paths of length K from `initial` starts.
 
-    ``worker_count`` must be at least 1 and has no effect: blocks run in the calling thread.
+    ``worker_count``, an integer of at least 1, caps the processes forked
+    to compute a vectorized oracle's blocks, each with its own copy of the
+    oracle and the sampler; starting them costs about 10 ms a call.  A
+    scalar-only oracle runs in the calling thread at any count (see the
+    module docstring).
     """
 
     oracle: TransitionOracle
@@ -144,6 +164,8 @@ class RtfEngine:
     worker_count: int = 1
 
     def __post_init__(self):
+        if isinstance(self.worker_count, bool) or not isinstance(self.worker_count, (int, np.integer)):
+            raise TypeError(f"worker_count must be an integer, not {self.worker_count!r}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
 
@@ -155,36 +177,73 @@ def _check_range(states, n, what):
         raise ValueError(f"{what} {lo if lo < 0 else hi} outside [0, {n})")
 
 
-def _collect_block_vectorized(engine, acc, weight, streams, start, stop):
+def _collect_block_vectorized(engine, weight, streams, start, stop):
+    """The K return counts of paths ``start..stop-1``; raises what the simulator raises."""
     K, n = engine.config.max_path_length, engine.config.state_space_size
     ups = engine.oracle.uniforms_per_step
-    # All or nothing: a failure anywhere in the block commits none of its paths.
-    try:
-        x0 = np.empty(stop - start, dtype=np.int64)
-        uniforms = np.empty((stop - start, K * ups))
-        for j in range(stop - start):
-            rng = streams(start + j)
-            x0[j] = operator.index(engine.initial.sample(rng))
-            rng.random(out=uniforms[j])
-        _check_range(x0, n, "start state")
-        weights = None if weight is None else np.fromiter((weight(int(x)) for x in x0), float, len(x0))
-        counts = np.empty(K, dtype=np.int64 if weight is None else float)
-        xs = x0.copy()  # a kernel may write into its input
-        for k in range(K):
-            xs = np.asarray(engine.oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
-            if xs.shape != x0.shape or xs.dtype.kind not in "iu":
-                raise TypeError(
-                    f"step_with_uniforms returned {xs.dtype} of shape {xs.shape}, "
-                    f"expected integer states of shape {x0.shape}"
-                )
-            counts[k] = np.count_nonzero(xs == x0) if weights is None else weights @ (xs == x0)
-        _check_range(xs, n, "final state")
-    except Exception as exc:
-        raise CollectionError(
-            f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=acc
-        ) from exc
-    acc.counts += counts
-    acc.paths_completed += stop - start
+    x0 = np.empty(stop - start, dtype=np.int64)
+    uniforms = np.empty((stop - start, K * ups))
+    for j in range(stop - start):
+        rng = streams(start + j)
+        x0[j] = operator.index(engine.initial.sample(rng))
+        rng.random(out=uniforms[j])
+    _check_range(x0, n, "start state")
+    weights = None if weight is None else np.fromiter((weight(int(x)) for x in x0), float, len(x0))
+    counts = np.empty(K, dtype=np.int64 if weight is None else float)
+    xs = x0.copy()  # a kernel may write into its input
+    for k in range(K):
+        xs = np.asarray(engine.oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
+        if xs.shape != x0.shape or xs.dtype.kind not in "iu":
+            raise TypeError(
+                f"step_with_uniforms returned {xs.dtype} of shape {xs.shape}, "
+                f"expected integer states of shape {x0.shape}"
+            )
+        counts[k] = np.count_nonzero(xs == x0) if weights is None else weights @ (xs == x0)
+    _check_range(xs, n, "final state")
+    return counts
+
+
+def _block_counts(engine, weight, blocks):
+    """Yield the counts of each of ``blocks`` in order; on a failure yield the exception and stop."""
+    streams = _PathStreams(engine.master_seed)
+    for start, stop in blocks:
+        try:
+            counts = _collect_block_vectorized(engine, weight, streams, start, stop)
+        except Exception as exc:
+            yield exc
+            return
+        yield counts
+
+
+#: (engine, weight) of the collection a pool child serves, set by ``_init_child``.
+_CHILD_JOB = None
+
+
+def _init_child(engine, weight):
+    # Under fork the arguments are inherited, not pickled.
+    global _CHILD_JOB
+    _CHILD_JOB = engine, weight
+
+
+def _run_in_child(blocks):
+    """``_block_counts`` of a run of blocks as a list whose failure, if any, survives pickling."""
+    results = list(_block_counts(*_CHILD_JOB, blocks))
+    if results and isinstance(results[-1], Exception):
+        exc = results[-1]
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            results[-1] = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return results
+
+
+def _fork_pool(workers, engine, weight):
+    """A pool of ``workers`` forked children serving ``engine``, or None where fork is unavailable."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return None
+    return multiprocessing.get_context("fork").Pool(workers, _init_child, (engine, weight))
 
 
 def _collect_block_scalar(engine, acc, weight, streams, start, stop):
@@ -217,12 +276,15 @@ def _collect_block_scalar(engine, acc, weight, streams, start, stop):
 
 
 def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulator:
-    """Run ``engine``'s blocks in block order into one accumulator; return it.
+    """Run ``engine``'s blocks and add them in block order into one accumulator; return it.
 
     The start law decides the counting (see the module docstring).  A start
     whose pmf is zero or below ``min_pmf`` (a weight above 1) fails its path
     like a raising simulator.  A ``CollectionError``'s ``partial`` holds the
-    paths committed before the failure.
+    paths committed before the failure: a scalar block commits its completed
+    paths, a vectorized block all or none of them, and no block after the
+    failing one is added.  A pool's children are gone when this returns or
+    raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
     min_pmf = initial.min_pmf()
@@ -240,11 +302,38 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
                 raise ValueError(f"sampler produced state {x0} with {reason}")
             return min_pmf / p
 
-    vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
-    block = _collect_block_vectorized if vectorized else _collect_block_scalar
-    streams = _PathStreams(engine.master_seed)
-    for start in range(0, cfg.num_paths, BLOCK_SIZE):
-        block(engine, acc, weight, streams, start, min(start + BLOCK_SIZE, cfg.num_paths))
+    blocks = [(start, min(start + BLOCK_SIZE, cfg.num_paths)) for start in range(0, cfg.num_paths, BLOCK_SIZE)]
+    if getattr(engine.oracle, "uniforms_per_step", None) is None:
+        streams = _PathStreams(engine.master_seed)
+        for start, stop in blocks:
+            _collect_block_scalar(engine, acc, weight, streams, start, stop)
+        return acc
+
+    workers = min(engine.worker_count, len(blocks))
+    pool = _fork_pool(workers, engine, weight) if workers > 1 else None
+    if pool is None:
+        results = _block_counts(engine, weight, blocks)
+    else:
+        size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
+        ends = [i * size + min(i, extra) for i in range(workers + 1)]
+        runs = [blocks[a:b] for a, b in zip(ends, ends[1:])]
+        results = itertools.chain.from_iterable(pool.imap(_run_in_child, runs))
+    try:
+        for (start, stop), counts in zip(blocks, results):
+            if isinstance(counts, Exception):
+                raise CollectionError(
+                    f"simulator failed in block of paths {start}..{stop - 1}: {counts}", partial=acc
+                ) from counts
+            acc.counts += counts
+            acc.paths_completed += stop - start
+    except BaseException:
+        if pool is not None:
+            pool.terminate()
+        raise
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
     return acc
 
 
@@ -272,7 +361,9 @@ def weighted_collect(
 
     Per path: draw a start from the sampler's pmf, simulate K steps, and add
     min_pmf/pmf(start) to every k at which the path sits in its start state,
-    uniform starts included.  ``worker_count`` has no effect (see ``RtfEngine``).
+    uniform starts included.  With a vectorized oracle, ``worker_count`` > 1
+    runs the blocks in that many forked processes, each with its own copy
+    of the oracle and the sampler (see ``RtfEngine``); the sums are the same.
     """
     return _collect(RtfEngine(oracle, initial, cfg, master_seed, worker_count), weighted=True)
 
@@ -304,7 +395,8 @@ def estimate_nonlazy(
 
     ``cfg`` describes the squared-chain run: cfg.num_paths paths of
     cfg.max_path_length two-step transitions, so the one-step budget is
-    2 * I * K inner calls.  ``worker_count`` has no effect (see ``RtfEngine``).
+    2 * I * K inner calls.  ``worker_count`` is as in ``RtfEngine``: a
+    scalar-only ``oracle`` stays in the calling thread at any count.
     """
     engine = RtfEngine(SquaredChainOracle(oracle), initial, cfg, master_seed, worker_count)
     raw = finalize_estimate(rtf_collect(engine), cfg)
@@ -358,7 +450,9 @@ class UspEngine:
     from its start and so repeats the same segments: never sum two calls.
     A one-shot iterator (``iter(source) is source``) serves one call; a
     later call raises ``ValueError`` instead of going on past the states
-    the first call read ahead.
+    the first call read ahead.  The engine keeps such a source wrapped in
+    a reader that remembers the call, so a copy (``dataclasses.replace``)
+    shares the reader and the rule.
     """
 
     source: Iterable[int]
@@ -367,11 +461,23 @@ class UspEngine:
     master_seed: int
     stats: UspStats = field(default_factory=UspStats, init=False)
     on_segment: Optional[Callable[[int], None]] = None
-    _source_read: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.segment_length < 1:
             raise ValueError("segment_length must be >= 1")
+        if not isinstance(self.source, _OneShotSource) and iter(self.source) is self.source:
+            self.source = _OneShotSource(self.source)
+
+
+class _OneShotSource:
+    """A one-shot iterator and whether a ``usp_collect`` call has read it."""
+
+    def __init__(self, states: Iterator[int]):
+        self.states = states
+        self.read = False
+
+    def __iter__(self) -> Iterator[int]:
+        return self.states
 
 
 def _int64_chunks(source) -> Iterator[np.ndarray]:
@@ -396,9 +502,13 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     uniform target; the strong Markov property makes the emitted segments
     i.i.d. length-K paths with uniform starts.  So a drawn target whose pmf
     differs from ``target_sampler.min_pmf()`` raises ``ValueError``, as
-    does a second call over a one-shot source.  Source exhaustion is a
-    normal partial result: the accumulator reports however many segments
-    completed and ``engine.stats.exhausted`` is set.
+    does a second call over a one-shot source.  The targets are uniform on
+    [0, |S|) with |S| = ``round(1 / min_pmf)``, and a source state outside
+    that range raises ``ValueError`` naming its source index; each chunk
+    is checked as a whole when it is read, so a bad state read ahead of
+    the last one used raises too.  Source exhaustion is a normal partial
+    result: the accumulator reports however many segments completed and
+    ``engine.stats.exhausted`` is set.
 
     The source is read in int64 chunks in O(CHUNK + K) memory; an iterable
     without ``chunks()`` may be read up to ``CHUNK - 1`` states past the
@@ -411,7 +521,8 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     """
     if num_segments < 1:
         raise ValueError("num_segments must be >= 1")
-    if engine._source_read and iter(engine.source) is engine.source:
+    one_shot = engine.source if isinstance(engine.source, _OneShotSource) else None
+    if one_shot is not None and one_shot.read:
         raise ValueError("source is a one-shot iterator that an earlier usp_collect call read")
     K = engine.segment_length
     acc = ReturnCountAccumulator.empty(K)
@@ -419,6 +530,9 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     rng = path_rng(engine.master_seed, TARGET_STREAM_KEY)
     targets = engine.target_sampler
     target_pmf = targets.min_pmf()
+    if not target_pmf > 0.0:
+        raise ValueError(f"target min_pmf {target_pmf} is not positive")
+    size = round(1.0 / target_pmf)  # the states the uniform targets cover
 
     def draw_target():
         target = targets.sample(rng)
@@ -436,9 +550,13 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     returns = np.empty(K, dtype=bool)
     offset = 0  # source index of the current chunk's first state
 
-    engine._source_read = True
+    if one_shot is not None:
+        one_shot.read = True
     for x in _int64_chunks(engine.source):
         n = len(x)
+        if n and x.view(np.uint64).max() >= size:  # a negative state wraps to a huge one
+            bad = int(np.flatnonzero((x < 0) | (x >= size))[0])
+            raise ValueError(f"source state {x[bad]} at index {offset + bad} outside [0, {size})")
         i = 0  # next position of x to read while filling
         while True:
             if start_state is not None:

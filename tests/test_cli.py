@@ -433,7 +433,8 @@ USP_ARGV = ["run", "--chain", "line", "--size", "8", "--p", "0.7", "--model", "u
 
 # SHA-256 of the report, with the --usp-path path replaced by "trace.txt".
 # "oracle" simulates the trajectory; "file" reads a seeded trace of 8 states;
-# "outside" reads a trace whose every state is 50, so no segment completes.
+# "outside" reads a trace whose every state is 50, outside the 8 states: no
+# report, exit 2 (None).
 GOLDEN_USP_REPORTS = {
     ("oracle", "json"):
         "ef2c135845cb43936d6e4c0e63a4459e0a11bcb4683d7bc0dd187f3ed7af2d0a",
@@ -443,10 +444,8 @@ GOLDEN_USP_REPORTS = {
         "7033c05de67aa460e693979e877319922168a0c8ab58de12be135fe9e545e042",
     ("file", "csv"):
         "f415588988394041469d8225070de60291e423c637a8b2addd51a2664ecdd658",
-    ("outside", "json"):
-        "cccf520a22f41f7c648c1cb793b6d2bdfee0dd0fba9ecd8be7ff237aed590bce",
-    ("outside", "csv"):
-        "238d1b0b62252e04adaa3be2c3e09a5d63dee34cfba9767e24e2abf9ceef219b",
+    ("outside", "json"): None,
+    ("outside", "csv"): None,
 }
 
 
@@ -466,18 +465,18 @@ def test_run_golden_usp_report(tmp_path, capsys, source, fmt):
         write_usp_trace(trace, source)
         flags = ["--usp-path", str(trace)]
     code, out, err = run_cli(capsys, USP_ARGV + flags + ["--format", fmt])
+    if GOLDEN_USP_REPORTS[source, fmt] is None:
+        assert code == 2 and out == ""
+        return
     assert code == 0 and err == ""
     out = out.replace(str(trace), "trace.txt")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_USP_REPORTS[source, fmt]
 
 
-def test_usp_trace_outside_the_chain_is_uninformative(tmp_path, capsys):
+def test_usp_trace_outside_the_chain_exits_two(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     write_usp_trace(trace, "outside")
-    code, out, _ = run_cli(capsys, USP_ARGV + ["--usp-path", str(trace), "--format", "json"])
-    assert code == 0
-    for trial in json.loads(out)["trials"]:
-        assert trial["ell_star"] == 1.0 and trial["t_r_upper"] == "inf"
-        assert trial["segments"] == 0 and trial["argmin_k"] == 0
-        assert trial["informative"] is False
-        assert trial["oracle_calls"] == 5_000
+    code, out, err = run_cli(capsys, USP_ARGV + ["--usp-path", str(trace), "--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ")
+    assert "source state 50 at index 0 outside [0, 8)" in err

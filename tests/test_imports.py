@@ -27,3 +27,8 @@ def test_import_needs_no_scipy():
 def test_import_loads_no_thread_pool():
     # Collection runs in the calling thread; the pool machinery costs import time.
     assert fresh_import_modules("concurrent") == "[]"
+
+
+def test_import_loads_no_multiprocessing():
+    # The fork pool is imported when a collection first uses it: about 16 ms.
+    assert fresh_import_modules("multiprocessing") == "[]"

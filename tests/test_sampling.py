@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import threading
 
 import numpy as np
@@ -50,35 +51,37 @@ class CountingOracle(ScalarOnly):
 
 
 class FixedTargets:
-    """Deterministic target sequence standing in for the uniform sampler."""
+    """Deterministic target sequence standing in for the uniform sampler on ``size`` states."""
 
-    def __init__(self, targets):
+    def __init__(self, targets, size=10):
         self.targets = iter(targets)
+        self.size = size
 
     def sample(self, rng):
         return next(self.targets)
 
     def pmf(self, x):
-        return 0.0
+        return 1.0 / self.size
 
     def min_pmf(self):
-        return 0.0
+        return 1.0 / self.size
 
 
 class KernelFailsOnShortBlock:
-    """Vectorized chain whose kernel raises on a block shorter than BLOCK_SIZE."""
+    """Vectorized chain whose kernel raises ``make_error()`` on a block shorter than BLOCK_SIZE."""
 
     uniforms_per_step = 1
 
-    def __init__(self, inner):
+    def __init__(self, inner, make_error=lambda: RuntimeError("kernel boom")):
         self.inner = inner
+        self.make_error = make_error
 
     def state_space_size(self):
         return self.inner.state_space_size()
 
     def step_with_uniforms(self, xs, us):
         if len(xs) < BLOCK_SIZE:
-            raise RuntimeError("kernel boom")
+            raise self.make_error()
         return self.inner.step_with_uniforms(xs, us)
 
 
@@ -114,13 +117,18 @@ class SamplerFailsOnce(SamplerFailsAfter):
 
 
 class ThreadSpy:
-    """Line walk that records the thread of every `next_state` and kernel call."""
+    """Line walk that records the thread of every `next_state` and kernel call.
+
+    With ``main_thread_only`` its kernel raises unless it runs in the main
+    thread of its process, which a pool child's copy can check.
+    """
 
     uniforms_per_step = 1
 
-    def __init__(self):
+    def __init__(self, main_thread_only=False):
         self.inner = BiasedLineChain(20, 0.7)
         self.threads = set()
+        self.main_thread_only = main_thread_only
 
     def state_space_size(self):
         return 20
@@ -130,8 +138,17 @@ class ThreadSpy:
         return self.inner.next_state(x, rng)
 
     def step_with_uniforms(self, xs, us):
+        if self.main_thread_only and threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"kernel ran in {threading.current_thread().name}")
         self.threads.add(threading.get_ident())
         return self.inner.step_with_uniforms(xs, us)
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but cannot be unpickled: its args hold one value and ``__init__`` wants two."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
 
 
 class KernelReturns:
@@ -233,11 +250,18 @@ def test_worker_counts_do_not_change_counts():
 
 @pytest.mark.parametrize("scalar", [False, True])
 def test_collection_runs_in_the_calling_thread(scalar):
+    # An oracle runs in the caller's thread or in a pool child's main thread,
+    # never in a second thread of any process.
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # three blocks
     spy = ThreadSpy()
     oracle = ScalarOnly(spy) if scalar else spy
-    cfg = UcpiConfig(20, 3000, 5, 0.1)  # three blocks
-    rtf_collect(RtfEngine(oracle, UniformSampler(20), cfg, 5, worker_count=2))
+    # A scalar oracle stays in the calling thread at any worker count.
+    rtf_collect(RtfEngine(oracle, UniformSampler(20), cfg, 5, worker_count=1 if not scalar else 2))
     assert spy.threads == {threading.get_ident()}
+    if not scalar:
+        pooled = ThreadSpy(main_thread_only=True)
+        rtf_collect(RtfEngine(pooled, UniformSampler(20), cfg, 5, worker_count=2))
+        assert not pooled.threads  # the children stepped their own copies
 
 
 def test_master_seed_changes_counts():
@@ -339,18 +363,82 @@ def test_scalar_sampler_failure_raises_collection_error(workers):
     assert np.array_equal(partial.counts, clean.counts)
 
 
-def test_failure_cancels_blocks_not_yet_started():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failure_cancels_blocks_not_yet_started(workers):
     blocks = 50
     sampler = SamplerFailsOnce(20, limit=9)  # fails inside block 0
     cfg = UcpiConfig(20, blocks * BLOCK_SIZE, 1, 0.1)
     with pytest.raises(CollectionError) as exc_info:
-        rtf_collect(RtfEngine(BiasedLineChain(20, 0.7), sampler, cfg, 5, worker_count=2))
+        rtf_collect(RtfEngine(BiasedLineChain(20, 0.7), sampler, cfg, 5, worker_count=workers))
     assert str(exc_info.value.__cause__) == "sampler boom"
-    # No start is drawn after the failing one: no later block began.
-    assert sampler.draws == sampler.limit + 1
+    if workers == 1:
+        # No start is drawn after the failing one: no later block began.
+        assert sampler.draws == sampler.limit + 1
+    else:
+        # Each child draws from its own copy of the sampler.
+        assert sampler.draws == 0
     partial = exc_info.value.partial
     assert partial.paths_completed == 0
     assert not partial.counts.any()
+
+
+def test_pooled_collection_leaves_no_child_process():
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # blocks of 1024, 1024 and 952 paths
+    chain = BiasedLineChain(20, 0.7)
+    rtf_collect(make_engine(chain, cfg, 5, workers=2))
+    assert multiprocessing.active_children() == []
+    with pytest.raises(CollectionError):
+        rtf_collect(make_engine(KernelFailsOnShortBlock(chain), cfg, 5, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def counts_at_two_workers(cfg):
+    return rtf_collect(make_engine(BiasedLineChain(20, 0.7), cfg, 5, workers=2)).counts
+
+
+def test_collection_in_a_pool_child_runs_serially():
+    # A daemonic pool child may not start children of its own.
+    cfg = UcpiConfig(20, 3000, 5, 0.1)
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        nested = pool.apply_async(counts_at_two_workers, (cfg,)).get(timeout=60)
+    finally:
+        pool.close()
+        pool.join()
+    assert np.array_equal(nested, counts_at_two_workers(cfg))
+
+
+class LocalError(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make_error, name",
+    [
+        (lambda: NeedsTwoArguments(7, "disk gone"), "NeedsTwoArguments"),
+        # A lambda among the args: pickling itself fails.
+        (lambda: LocalError("disk gone", lambda: None), "LocalError"),
+    ],
+    ids=["unpickles-badly", "does-not-pickle"],
+)
+def test_child_failure_that_cannot_be_pickled_arrives_named(make_error, name):
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the short third block fails
+    with pytest.raises(CollectionError, match=f"block of paths 2048..2999: {name}: .*disk gone"):
+        rtf_collect(make_engine(KernelFailsOnShortBlock(chain, make_error), cfg, 5, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2", None])
+def test_worker_count_must_be_an_integer(workers):
+    with pytest.raises(TypeError, match="worker_count must be an integer"):
+        make_engine(TWO_STATE, UcpiConfig(2, 100, 5, 0.1), 0, workers)
+
+
+def test_worker_count_accepts_numpy_integers():
+    cfg = UcpiConfig(2, 2 * BLOCK_SIZE, 4, 0.1)
+    pooled = rtf_collect(make_engine(TWO_STATE, cfg, 3, np.int64(2)))
+    assert np.array_equal(pooled.counts, rtf_collect(make_engine(TWO_STATE, cfg, 3)).counts)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -554,6 +642,48 @@ def test_usp_one_shot_source_serves_one_call():
     # a fresh engine over a fresh iterator repeats the first call
     again = usp_collect(UspEngine(iter(states), 5, UniformSampler(5), 7), 10)
     assert np.array_equal(again.counts, first.counts)
+
+
+def test_usp_copied_engine_shares_the_one_shot_guard():
+    states = np.random.default_rng(2).integers(0, 5, 5000).tolist()
+    engine = UspEngine(iter(states), 5, UniformSampler(5), 7)
+    copy = dataclasses.replace(engine)
+    assert usp_collect(engine, 10).paths_completed == 10
+    with pytest.raises(ValueError, match="one-shot iterator"):
+        usp_collect(copy, 10)
+    # and the other way round: a copy made after the read is refused too
+    with pytest.raises(ValueError, match="one-shot iterator"):
+        usp_collect(dataclasses.replace(copy), 10)
+
+
+@pytest.mark.parametrize(
+    "source, bad, where, segments",
+    [
+        ("list", 5, 0, 1),
+        ("list", -1, 1500, 10_000),
+        ("file", 5, 1500, 10_000),
+        ("file", 7, 4999, 10_000),
+        # the first segment ends within a few states; the chunk it was read in is checked whole
+        ("list", 5, 1000, 1),
+        ("file", 5, 1000, 1),
+    ],
+)
+def test_usp_source_state_outside_the_targets_names_its_index(tmp_path, source, bad, where, segments):
+    states = np.random.default_rng(3).integers(0, 5, 5000)
+    states[where] = bad
+    if source == "file":
+        path = tmp_path / "trace.txt"
+        path.write_text("".join(f"{x}\n" for x in states.tolist()))
+        states = states_from_file(path)
+    else:
+        states = states.tolist()
+    with pytest.raises(ValueError, match=rf"source state {bad} at index {where} outside \[0, 5\)"):
+        usp_collect(UspEngine(states, 3, UniformSampler(5), 1), segments)
+
+
+def test_usp_targets_need_a_positive_min_pmf():
+    with pytest.raises(ValueError, match="target min_pmf 0.0 is not positive"):
+        usp_collect(UspEngine([0, 1, 0], 1, FixedTargets([0], size=math.inf), 1), 1)
 
 
 def test_usp_file_source_matches_in_memory(tmp_path):

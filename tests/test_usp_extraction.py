@@ -70,19 +70,20 @@ def reference_usp_collect(engine, num_segments):
 
 
 class FixedTargets:
-    """Deterministic target sequence standing in for the uniform sampler."""
+    """Deterministic target sequence standing in for the uniform sampler on ``size`` states."""
 
-    def __init__(self, targets):
+    def __init__(self, targets, size=10):
         self.targets = iter(targets)
+        self.size = size
 
     def sample(self, rng):
         return next(self.targets)
 
     def pmf(self, x):
-        return 0.0
+        return 1.0 / self.size
 
     def min_pmf(self):
-        return 0.0
+        return 1.0 / self.size
 
 
 def extract(collect, source, K, sampler, num_segments, seed=0):
