@@ -302,7 +302,8 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
                 raise ValueError(f"sampler produced state {x0} with {reason}")
             return min_pmf / p
 
-    blocks = [(start, min(start + BLOCK_SIZE, cfg.num_paths)) for start in range(0, cfg.num_paths, BLOCK_SIZE)]
+    I = cfg.num_paths
+    blocks = [(start, min(start + BLOCK_SIZE, I)) for start in range(0, I, BLOCK_SIZE)]
     if getattr(engine.oracle, "uniforms_per_step", None) is None:
         streams = _PathStreams(engine.master_seed)
         for start, stop in blocks:
