@@ -46,6 +46,12 @@ __all__ = [
 CB_TOLERANCE = 1e-12
 
 
+def _require_integer(name, value):
+    """Raise TypeError unless ``value`` is an int or a numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class UcpiConfig:
     """Estimation parameters: state-space size, path count I, path length K, confidence delta."""
@@ -56,6 +62,8 @@ class UcpiConfig:
     confidence: float
 
     def __post_init__(self):
+        for name in ("state_space_size", "num_paths", "max_path_length"):
+            _require_integer(name, getattr(self, name))
         if self.state_space_size < 2:
             raise ValueError("state_space_size must be >= 2")
         if self.num_paths < 1:
@@ -287,6 +295,7 @@ def config_for_budget(n: int, state_space_size: int) -> UcpiConfig:
     delta = 1/sqrt(n), K = ceil((ln n)^2), I = floor(n/K); the total number
     of transitions I*K never exceeds n, and I >= 1 because (ln n)^2 < n.
     """
+    _require_integer("budget n", n)
     if n < 16:
         raise ValueError("budget n must be >= 16")
     max_path_length = math.ceil(math.log(n) ** 2)

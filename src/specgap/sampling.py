@@ -25,18 +25,22 @@ runs and must not be kept.
 Fixed-size blocks of paths are added into one accumulator in block order.
 With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
 the blocks are split into up to ``worker_count`` contiguous runs, each
-computed by a process forked for the call (Linux ``fork``; about 10 ms to
-start the pool, so a call of a few blocks can be slower than serial).  The
-engine reaches the children by fork inheritance, so oracles need not be
-picklable, and a stateful oracle's or sampler's state lives in each child:
-the caller's copy does not see their calls.  Only block ranges and the
-blocks' K-vectors cross the process boundary, and the parent adds the
-vectors in block order, so the counts are bit-identical at any worker
-count.  Scalar-only oracles run every block in the calling thread, because
-black-box simulators are often stateful and their callers may count their
-calls; so do platforms without ``fork`` and calls made in a daemonic
-process, which may not start children.  From Python 3.12, forking a process
-that holds threads (a BLAS pool, say) raises a ``DeprecationWarning``.
+computed by a daemonic child forked for the call (Linux ``fork``; some
+10-30 ms a call on a 2-vCPU VM, so a call of a few blocks can be slower
+than serial).  The engine reaches the children by fork inheritance, so
+oracles need not be picklable, and a stateful oracle's or sampler's state
+lives in each child: the caller's copy does not see their calls.  Each
+child sends its run's K-vectors in one message over its own pipe, the
+parent reads the pipes in run order and adds the vectors in block order,
+so the counts are bit-identical at any worker count.  Every child is
+terminated and joined before the call returns or raises, and one that dies
+without sending (a signal, ``os._exit``, a crash in native code) raises
+``CollectionError`` with its exit code.  Scalar-only oracles run every
+block in the calling thread, because black-box simulators are often
+stateful and their callers may count their calls; so do platforms without
+``fork`` and calls made in a daemonic process, which may not start
+children.  From Python 3.12, forking a process that holds threads (a BLAS
+pool, say) raises a ``DeprecationWarning``.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -60,6 +64,7 @@ from .estimator import (
     UcpiConfig,
     UcpiEstimate,
     WeightedReturnAccumulator,
+    _require_integer,
     finalize_estimate,
     relaxation_upper_bound,
 )
@@ -150,11 +155,11 @@ class CollectionError(RuntimeError):
 class RtfEngine:
     """Fresh-path collection plan: I paths of length K from `initial` starts.
 
-    ``worker_count``, an integer of at least 1, caps the processes forked
-    to compute a vectorized oracle's blocks, each with its own copy of the
-    oracle and the sampler; starting them costs about 10 ms a call.  A
-    scalar-only oracle runs in the calling thread at any count (see the
-    module docstring).
+    ``worker_count``, an integer of at least 1, caps the child processes
+    forked to compute a vectorized oracle's blocks, one per contiguous run
+    of blocks, each with its own copy of the oracle and the sampler;
+    forking them costs some 10-30 ms a call.  A scalar-only oracle runs in
+    the calling thread at any count (see the module docstring).
     """
 
     oracle: TransitionOracle
@@ -164,8 +169,7 @@ class RtfEngine:
     worker_count: int = 1
 
     def __post_init__(self):
-        if isinstance(self.worker_count, bool) or not isinstance(self.worker_count, (int, np.integer)):
-            raise TypeError(f"worker_count must be an integer, not {self.worker_count!r}")
+        _require_integer("worker_count", self.worker_count)
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
 
@@ -215,35 +219,26 @@ def _block_counts(engine, weight, blocks):
         yield counts
 
 
-#: (engine, weight) of the collection a pool child serves, set by ``_init_child``.
-_CHILD_JOB = None
-
-
-def _init_child(engine, weight):
-    # Under fork the arguments are inherited, not pickled.
-    global _CHILD_JOB
-    _CHILD_JOB = engine, weight
-
-
-def _run_in_child(blocks):
-    """``_block_counts`` of a run of blocks as a list whose failure, if any, survives pickling."""
-    results = list(_block_counts(*_CHILD_JOB, blocks))
+def _run_in_child(conn, engine, weight, blocks):
+    """Send ``_block_counts`` of a run of blocks as one list whose failure, if any, survives pickling."""
+    results = list(_block_counts(engine, weight, blocks))
     if results and isinstance(results[-1], Exception):
         exc = results[-1]
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
             results[-1] = RuntimeError(f"{type(exc).__name__}: {exc}")
-    return results
+    conn.send(results)
 
 
-def _fork_pool(workers, engine, weight):
-    """A pool of ``workers`` forked children serving ``engine``, or None where fork is unavailable."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return None
-    return multiprocessing.get_context("fork").Pool(workers, _init_child, (engine, weight))
+def _receive(child, conn):
+    """The list a child sends, or one exception naming its exit code if it died first."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError):  # its end of the pipe closed before a whole message
+        child.join()
+        code = child.exitcode
+        return [RuntimeError(f"collection process exited with code {code} before sending its counts")]
 
 
 def _collect_block_scalar(engine, acc, weight, streams, start, stop):
@@ -283,7 +278,7 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     like a raising simulator.  A ``CollectionError``'s ``partial`` holds the
     paths committed before the failure: a scalar block commits its completed
     paths, a vectorized block all or none of them, and no block after the
-    failing one is added.  A pool's children are gone when this returns or
+    failing one is added.  Forked children are gone when this returns or
     raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
@@ -311,15 +306,27 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
         return acc
 
     workers = min(engine.worker_count, len(blocks))
-    pool = _fork_pool(workers, engine, weight) if workers > 1 else None
-    if pool is None:
-        results = _block_counts(engine, weight, blocks)
-    else:
-        size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
-        ends = [i * size + min(i, extra) for i in range(workers + 1)]
-        runs = [blocks[a:b] for a, b in zip(ends, ends[1:])]
-        results = itertools.chain.from_iterable(pool.imap(_run_in_child, runs))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+            workers = 1
+    children = []  # (process, read end of its pipe) of each run of blocks, in block order
     try:
+        if workers == 1:
+            results = _block_counts(engine, weight, blocks)
+        else:
+            fork = multiprocessing.get_context("fork")
+            size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
+            ends = [i * size + min(i, extra) for i in range(workers + 1)]
+            for a, b in zip(ends, ends[1:]):
+                conn, child_conn = fork.Pipe(duplex=False)
+                with child_conn:  # closed here, the child's copy alone keeps the pipe open
+                    run = (child_conn, engine, weight, blocks[a:b])  # inherited under fork, not pickled
+                    child = fork.Process(target=_run_in_child, args=run, daemon=True)
+                    child.start()
+                children.append((child, conn))
+            results = itertools.chain.from_iterable(_receive(*c) for c in children)
         for (start, stop), counts in zip(blocks, results):
             if isinstance(counts, Exception):
                 raise CollectionError(
@@ -327,14 +334,11 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
                 ) from counts
             acc.counts += counts
             acc.paths_completed += stop - start
-    except BaseException:
-        if pool is not None:
-            pool.terminate()
-        raise
     finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+        for child, conn in children:
+            child.terminate()
+            child.join()
+            conn.close()
     return acc
 
 
@@ -363,8 +367,9 @@ def weighted_collect(
     Per path: draw a start from the sampler's pmf, simulate K steps, and add
     min_pmf/pmf(start) to every k at which the path sits in its start state,
     uniform starts included.  With a vectorized oracle, ``worker_count`` > 1
-    runs the blocks in that many forked processes, each with its own copy
-    of the oracle and the sampler (see ``RtfEngine``); the sums are the same.
+    runs the blocks in up to that many forked children, each with its own
+    copy of the oracle and the sampler (see ``RtfEngine``); the sums are the
+    same, and a child that dies raises ``CollectionError``.
     """
     return _collect(RtfEngine(oracle, initial, cfg, master_seed, worker_count), weighted=True)
 
@@ -397,7 +402,8 @@ def estimate_nonlazy(
     ``cfg`` describes the squared-chain run: cfg.num_paths paths of
     cfg.max_path_length two-step transitions, so the one-step budget is
     2 * I * K inner calls.  ``worker_count`` is as in ``RtfEngine``: a
-    scalar-only ``oracle`` stays in the calling thread at any count.
+    vectorized ``oracle`` steps its blocks in forked children, and a
+    scalar-only one stays in the calling thread at any count.
     """
     engine = RtfEngine(SquaredChainOracle(oracle), initial, cfg, master_seed, worker_count)
     raw = finalize_estimate(rtf_collect(engine), cfg)

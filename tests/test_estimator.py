@@ -319,6 +319,31 @@ def test_config_validation():
         UcpiConfig(10, 10, 10, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((20.0, 2500, 5, 0.1), "state_space_size"),
+        ((20, 2500.5, 5, 0.1), "num_paths"),
+        ((20, 2500, 5.0, 0.1), "max_path_length"),
+        ((True, 2500, 5, 0.1), "state_space_size"),
+        ((20, "2500", 5, 0.1), "num_paths"),
+    ],
+)
+def test_config_sizes_must_be_integers(args, name):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        UcpiConfig(*args)
+
+
+def test_config_sizes_accept_numpy_integers():
+    cfg = UcpiConfig(np.int64(20), np.int32(2500), np.int64(5), 0.1)
+    assert validity_check(cfg) == validity_check(UcpiConfig(20, 2500, 5, 0.1))
+
+
+def test_config_for_budget_names_a_non_integer_budget():
+    with pytest.raises(TypeError, match=r"budget n must be an integer, not 1000000\.0"):
+        config_for_budget(1e6, 20)
+
+
 def test_config_for_budget():
     cfg = config_for_budget(10**4, 20)
     assert (cfg.num_paths, cfg.max_path_length) == (117, 85)

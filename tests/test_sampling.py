@@ -1,6 +1,8 @@
 import dataclasses
+import faulthandler
 import math
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -389,6 +391,46 @@ def test_pooled_collection_leaves_no_child_process():
     assert multiprocessing.active_children() == []
     with pytest.raises(CollectionError):
         rtf_collect(make_engine(KernelFailsOnShortBlock(chain), cfg, 5, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_child_that_dies_raises_with_its_exit_code():
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the short third block runs alone in the second child
+    parent = os.getpid()
+
+    def exit_in_child():
+        if os.getpid() == parent:  # never end the test process itself
+            return RuntimeError("the kernel ran in the calling process")
+        os._exit(3)
+
+    faulthandler.dump_traceback_later(60, exit=True)  # a hang fails the run instead of stalling it
+    try:
+        with pytest.raises(CollectionError, match="block of paths 2048..2999: .*code 3") as exc_info:
+            rtf_collect(make_engine(KernelFailsOnShortBlock(chain, exit_in_child), cfg, 5, workers=2))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    partial = exc_info.value.partial
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 2 * BLOCK_SIZE, 5, 0.1), 5))
+    assert partial.paths_completed == clean.paths_completed
+    assert np.array_equal(partial.counts, clean.counts)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_fork_stops_the_children_already_started(monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    start, started = fork.Process.start, []
+
+    def start_first_only(child):
+        if started:
+            raise OSError("fork failed")
+        started.append(child)
+        start(child)
+
+    monkeypatch.setattr(fork.Process, "start", start_first_only)
+    with pytest.raises(OSError, match="fork failed"):
+        rtf_collect(make_engine(BiasedLineChain(20, 0.7), UcpiConfig(20, 3000, 5, 0.1), 5, workers=2))
+    assert len(started) == 1
     assert multiprocessing.active_children() == []
 
 
