@@ -18,6 +18,7 @@ everywhere.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -104,9 +105,16 @@ class TabularSampler:
         self.probabilities = p
         self._cdf = np.cumsum(p)
         self._cdf[-1] = 1.0
+        self._cdf_list = self._cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        """The first state whose cdf exceeds one uniform draw.
+
+        ``bisect_right`` over a list copy of the cdf makes the comparisons
+        ``np.searchsorted(cdf, u, side="right")`` makes, so it returns the
+        same index, without numpy's per-call overhead on a scalar.
+        """
+        return bisect.bisect_right(self._cdf_list, rng.random())
 
     def pmf(self, x: int) -> float:
         return float(self.probabilities[x]) if 0 <= x < len(self.probabilities) else 0.0
@@ -154,9 +162,18 @@ class BiasedLineChain:
         return max(x - 1, 0)
 
     def step_with_uniforms(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """``_move`` on every state, bit for bit, without writing ``xs``.
+
+        A draw at or above 1/2 adds one and a draw at or above the left
+        threshold takes two back; the sum is then clamped in place.  No
+        per-state table is held, so memory does not grow with ``size``.
+        """
         u = us[:, 0]
-        delta = np.where(u < 0.5, 0, np.where(u < 0.5 + (1.0 - self.bias) / 2.0, 1, -1))
-        return np.clip(xs + delta, 0, self.size - 1)
+        out = xs + (u >= 0.5)
+        out -= 2 * (u >= 0.5 + (1.0 - self.bias) / 2.0)
+        np.maximum(out, 0, out=out)
+        np.minimum(out, self.size - 1, out=out)
+        return out
 
     def stationary_distribution(self) -> np.ndarray:
         return line_stationary(self.size, self.bias)
@@ -204,12 +221,17 @@ class RegularGraphChain:
         return int(self.neighbors[x, j])
 
     def step_with_uniforms(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """``next_state`` on every state, bit for bit, without writing ``xs``.
+
+        Every state gathers its neighbor ``j`` (0 for a draw below 1/2) from
+        the flattened table in one pass, and the draws below 1/2 keep their
+        state.  Flattening the C-contiguous table is a view, not a copy.
+        """
         u = us[:, 0]
-        move = u >= 0.5
         j = np.minimum(((u - 0.5) * 2.0 * self.degree).astype(np.int64), self.degree - 1)
-        out = xs.copy()
-        out[move] = self.neighbors[xs[move], j[move]]
-        return out
+        np.maximum(j, 0, out=j)
+        j += xs * self.degree
+        return np.where(u >= 0.5, self.neighbors.reshape(-1).take(j), xs)
 
     def stationary_distribution(self) -> np.ndarray:
         return np.full(self.size, 1.0 / self.size)

@@ -46,6 +46,7 @@ from .estimator import (
 from .sampling import (
     RtfEngine,
     UspEngine,
+    _SourceStateError,
     rtf_collect,
     states_from_file,
     trajectory_from_oracle,
@@ -209,6 +210,8 @@ def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
             # The trace file is opened and parsed lazily, while segments are extracted.
             if spec.usp_path is None:
                 raise
+            if isinstance(exc, _SourceStateError):
+                raise ConfigError(f"bad state in trajectory file {spec.usp_path}: {exc}") from exc
             raise ConfigError(f"cannot read trajectory file: {exc}") from exc
         oracle_calls = engine.stats.source_steps_consumed
         usp_fields = {"segments": acc.paths_completed, "mean_wait": engine.stats.mean_wait}

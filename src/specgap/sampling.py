@@ -470,6 +470,7 @@ class UspEngine:
     on_segment: Optional[Callable[[int], None]] = None
 
     def __post_init__(self):
+        _require_integer("segment_length", self.segment_length)
         if self.segment_length < 1:
             raise ValueError("segment_length must be >= 1")
         if not isinstance(self.source, _OneShotSource) and iter(self.source) is self.source:
@@ -485,6 +486,10 @@ class _OneShotSource:
 
     def __iter__(self) -> Iterator[int]:
         return self.states
+
+
+class _SourceStateError(ValueError):
+    """A USP source state outside the targets' range: readable, but not a state of the chain."""
 
 
 def _int64_chunks(source) -> Iterator[np.ndarray]:
@@ -503,6 +508,10 @@ def _int64_chunks(source) -> Iterator[np.ndarray]:
 
 def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     """Extract up to ``num_segments`` uniformly-started segments, counting returns.
+
+    ``num_segments`` must be an integer (``TypeError`` otherwise), as must
+    the engine's ``segment_length``: a count the emitted segments never
+    equal would read the whole source, and never end over an endless one.
 
     A segment begins at the first time t strictly after the previous
     segment's end at which the trajectory hits an independently drawn
@@ -526,6 +535,7 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     ``stats.source_steps_consumed`` counts the states up to the last one
     used, not those read ahead.
     """
+    _require_integer("num_segments", num_segments)
     if num_segments < 1:
         raise ValueError("num_segments must be >= 1")
     one_shot = engine.source if isinstance(engine.source, _OneShotSource) else None
@@ -563,7 +573,7 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
         n = len(x)
         if n and x.view(np.uint64).max() >= size:  # a negative state wraps to a huge one
             bad = int(np.flatnonzero((x < 0) | (x >= size))[0])
-            raise ValueError(f"source state {x[bad]} at index {offset + bad} outside [0, {size})")
+            raise _SourceStateError(f"source state {x[bad]} at index {offset + bad} outside [0, {size})")
         i = 0  # next position of x to read while filling
         while True:
             if start_state is not None:

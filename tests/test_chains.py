@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from specgap.chains import (
     BiasedLineChain,
     DenseMatrixChain,
+    RegularGraphChain,
     TabularSampler,
     UniformSampler,
     exact_spectrum,
@@ -234,6 +237,65 @@ def test_vectorized_step_matches_scalar():
     assert np.array_equal(vec, sca)
 
 
+class FixedDraw:
+    """A stand-in generator whose ``random()`` returns one given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def around(points):
+    """Each point with its float neighbours, kept inside [0, 1)."""
+    near = {float(w) for v in points for w in (v, np.nextafter(v, -1.0), np.nextafter(v, 2.0))}
+    return sorted(w for w in near if 0.0 <= w < 1.0)
+
+
+def kernel_inputs(size, cuts, seed):
+    """int64 states and (n, 1) uniforms: every edge uniform at states 0, size - 1 and
+    one drawn state, then 64 drawn pairs.  The edges are 0, 1/2, ``cuts``, their float
+    neighbours and 1 - 2**-53."""
+    rng = np.random.default_rng(seed)
+    edges = around([0.0, 0.5, *cuts]) + [1.0 - 2**-53]
+    xs = np.concatenate([np.repeat([0, size - 1, rng.integers(size)], len(edges)), rng.integers(0, size, 64)])
+    us = np.concatenate([np.tile(edges, 3), rng.random(64)])
+    return xs.astype(np.int64), us.reshape(-1, 1)
+
+
+def assert_kernel_is_its_scalar_rule(chain, xs, us):
+    """The kernel gives int64 ``next_state`` of every state under its uniform and leaves ``xs`` alone."""
+    before = xs.copy()
+    out = chain.step_with_uniforms(xs, us)
+    assert out.dtype == np.int64
+    assert np.array_equal(xs, before)
+    assert out.tolist() == [chain.next_state(int(x), FixedDraw(u)) for x, u in zip(xs, us[:, 0])]
+
+
+BIASES = st.sampled_from([5e-324, 2**-54, 0.5, 1.0 - 2**-53]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30), BIASES, st.integers(0, 2**32))
+def test_line_kernel_equals_its_scalar_rule(size, bias, seed):
+    chain = BiasedLineChain(size, bias)
+    xs, us = kernel_inputs(size, [0.5 + (1.0 - bias) / 2.0], seed)
+    assert_kernel_is_its_scalar_rule(chain, xs, us)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30), st.sampled_from([1, 2]) | st.integers(1, 8), st.sampled_from("CF"), st.integers(0, 2**32))
+def test_graph_kernel_equals_its_scalar_rule(size, degree, order, seed):
+    # Any (size, degree) table will do: the kernel does not rely on the graph being simple.
+    table = np.random.default_rng(seed).integers(0, size, (size, degree))
+    chain = RegularGraphChain(size, degree, np.asarray(table, order=order))
+    xs, us = kernel_inputs(size, [0.5 + i / (2.0 * degree) for i in range(1, degree)], seed)
+    assert_kernel_is_its_scalar_rule(chain, xs, us)
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -254,6 +316,17 @@ def test_tabular_sampler_draws_match_pmf():
     _, pvalue = stats.chisquare(draws, 20_000 * np.array(probs))
     assert pvalue > 1e-3
     assert s.min_pmf() == 0.2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=20))
+def test_tabular_sampler_matches_searchsorted_at_every_cdf_edge(weights):
+    # Tiny weights give tied cdf values, where side="right" must pass every tie.
+    p = np.array(weights) / sum(weights)
+    sampler = TabularSampler(p)
+    cdf = sampler._cdf
+    for u in around(cdf.tolist()) + [0.0, 1.0 - 2**-53]:
+        assert sampler.sample(FixedDraw(u)) == np.searchsorted(cdf, u, side="right")
 
 
 def test_tabular_sampler_validation():

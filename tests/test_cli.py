@@ -480,3 +480,15 @@ def test_usp_trace_outside_the_chain_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("configuration error: ")
     assert "source state 50 at index 0 outside [0, 8)" in err
+
+
+def test_usp_trace_state_outside_the_chain_is_reported_as_a_bad_state(tmp_path, capsys):
+    # The file reads fine; one of its states is not a state of the chain.
+    trace = tmp_path / "trace.txt"
+    write_usp_trace(trace, "outside")
+    code, out, err = run_cli(capsys, USP_ARGV + ["--usp-path", str(trace)])
+    assert code == 2 and out == ""
+    assert err == (
+        f"configuration error: bad state in trajectory file {trace}: "
+        "source state 50 at index 0 outside [0, 8)\n"
+    )

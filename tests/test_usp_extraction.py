@@ -260,6 +260,31 @@ def test_skewed_targets_are_rejected_naming_the_target():
         usp_collect(engine, cfg.num_paths)
 
 
+@pytest.mark.parametrize(
+    "segment_length, num_segments, name",
+    [
+        (5.5, 10, "segment_length"),
+        (True, 10, "segment_length"),
+        (np.float64(5.0), 10, "segment_length"),
+        (5, 10.5, "num_segments"),
+        (5, False, "num_segments"),
+        (5, "10", "num_segments"),
+    ],
+)
+def test_usp_sizes_must_be_integers(segment_length, num_segments, name):
+    # With num_segments = 10.5 the emitted count never equals it: the call read
+    # this whole source, and over an endless one it would never return.
+    states = np.random.default_rng(4).integers(0, 4, 20_000).tolist()
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not "):
+        usp_collect(UspEngine(states, segment_length, UniformSampler(4), 3), num_segments)
+
+
+def test_usp_sizes_accept_numpy_integers():
+    states = np.random.default_rng(4).integers(0, 4, 20_000).tolist()
+    engine = UspEngine(states, np.int64(5), UniformSampler(4), 3)
+    assert usp_collect(engine, np.int32(10)).paths_completed == 10
+
+
 # ---------------------------------------------------------------------------
 # the trace file reader
 # ---------------------------------------------------------------------------
