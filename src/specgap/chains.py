@@ -24,6 +24,8 @@ from typing import Protocol
 
 import numpy as np
 
+from .estimator import _require_integer
+
 __all__ = [
     "TransitionOracle",
     "InitialSampler",
@@ -76,6 +78,7 @@ class UniformSampler:
     size: int
 
     def __post_init__(self):
+        _require_integer("size", self.size)
         if self.size < 1:
             raise ValueError("size must be >= 1")
 

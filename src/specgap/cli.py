@@ -243,6 +243,10 @@ def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> Experiment
         raise ConfigError("--trials must be >= 1")
     if spec.model == "usp" and (spec.nonlazy or spec.mu_file):
         raise ConfigError("--nonlazy and --mu-file require the fresh-path model (rtf)")
+    if spec.usp_path is not None and spec.model != "usp":
+        raise ConfigError("--usp-path requires the single-trajectory model (usp)")
+    if spec.matrix_file is not None and spec.chain != "matrix":
+        raise ConfigError("--matrix-file requires --chain matrix")
     chain = build_chain(spec)
     n_states = chain.state_space_size()
     cfg = resolve_config(spec, n_states)

@@ -22,7 +22,9 @@ and counter for every path instead of building a generator per path.  The
 ``TransitionOracle.next_state`` is therefore valid only while that path
 runs and must not be kept.
 
-Fixed-size blocks of paths are added into one accumulator in block order.
+Every fixed-size block of paths, scalar or vectorized, gives ``(paths,
+counts, failure)``; one loop adds the blocks into one accumulator in block
+order and raises ``CollectionError`` at the first failure.
 With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
 the blocks are split into up to ``worker_count`` contiguous runs, each
 computed by a daemonic child forked for the call (Linux ``fork``; some
@@ -103,7 +105,7 @@ _INT64_MAX = 2**63 - 1
 
 def path_rng(master_seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for one path (or reserved stream) of a run."""
-    key = np.array([master_seed % 2**64, stream % 2**64], dtype=np.uint64)
+    key = np.array([int(master_seed) % 2**64, stream % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -119,7 +121,7 @@ class _PathStreams:
     """
 
     def __init__(self, master_seed: int):
-        self._key = np.array([master_seed % 2**64, 0], dtype=np.uint64)
+        self._key = np.array([int(master_seed) % 2**64, 0], dtype=np.uint64)
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
@@ -169,6 +171,7 @@ class RtfEngine:
     worker_count: int = 1
 
     def __post_init__(self):
+        _require_integer("master_seed", self.master_seed)
         _require_integer("worker_count", self.worker_count)
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
@@ -182,7 +185,7 @@ def _check_range(states, n, what):
 
 
 def _collect_block_vectorized(engine, weight, streams, start, stop):
-    """The K return counts of paths ``start..stop-1``; raises what the simulator raises."""
+    """Paths ``start..stop-1`` as ``(stop - start, counts, None)``; raises what the simulator raises."""
     K, n = engine.config.max_path_length, engine.config.state_space_size
     ups = engine.oracle.uniforms_per_step
     x0 = np.empty(stop - start, dtype=np.int64)
@@ -204,48 +207,50 @@ def _collect_block_vectorized(engine, weight, streams, start, stop):
             )
         counts[k] = np.count_nonzero(xs == x0) if weights is None else weights @ (xs == x0)
     _check_range(xs, n, "final state")
-    return counts
+    return stop - start, counts, None
 
 
-def _block_counts(engine, weight, blocks):
-    """Yield the counts of each of ``blocks`` in order; on a failure yield the exception and stop."""
+def _block_counts(collect_block, engine, weight, blocks):
+    """Yield ``(paths, counts, failure)`` of each of ``blocks`` up to and including the first failure."""
     streams = _PathStreams(engine.master_seed)
     for start, stop in blocks:
         try:
-            counts = _collect_block_vectorized(engine, weight, streams, start, stop)
+            result = collect_block(engine, weight, streams, start, stop)
         except Exception as exc:
-            yield exc
+            result = 0, 0, exc
+        yield result
+        if result[2] is not None:
             return
-        yield counts
 
 
-def _run_in_child(conn, engine, weight, blocks):
+def _run_in_child(conn, collect_block, engine, weight, blocks):
     """Send ``_block_counts`` of a run of blocks as one list whose failure, if any, survives pickling."""
-    results = list(_block_counts(engine, weight, blocks))
-    if results and isinstance(results[-1], Exception):
-        exc = results[-1]
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            results[-1] = RuntimeError(f"{type(exc).__name__}: {exc}")
+    results = list(_block_counts(collect_block, engine, weight, blocks))
+    paths, counts, exc = results[-1]
+    try:
+        pickle.loads(pickle.dumps(exc))  # None, or the failure
+    except Exception:
+        results[-1] = paths, counts, RuntimeError(f"{type(exc).__name__}: {exc}")
     conn.send(results)
 
 
 def _receive(child, conn):
-    """The list a child sends, or one exception naming its exit code if it died first."""
+    """The list a child sends, or one failure naming its exit code if it died first."""
     try:
         return conn.recv()
     except (EOFError, OSError):  # its end of the pipe closed before a whole message
         child.join()
         code = child.exitcode
-        return [RuntimeError(f"collection process exited with code {code} before sending its counts")]
+        failure = RuntimeError(f"collection process exited with code {code} before sending its counts")
+        return [(0, 0, failure)]
 
 
-def _collect_block_scalar(engine, acc, weight, streams, start, stop):
+def _collect_block_scalar(engine, weight, streams, start, stop):
+    """``(paths, counts, failure)`` of the paths of ``start..stop-1`` completed before any failure."""
     next_state, sample = engine.oracle.next_state, engine.initial.sample
     K, n = engine.config.max_path_length, engine.config.state_space_size
     returns = np.empty(K, dtype=bool)
-    counts = np.zeros_like(acc.counts)  # the block's sum, added to `acc` as one term
+    counts = np.zeros(K, dtype=np.int64 if weight is None else float)
     for j in range(start, stop):
         rng = streams(j)
         try:
@@ -259,27 +264,22 @@ def _collect_block_scalar(engine, acc, weight, streams, start, stop):
             if not 0 <= operator.index(x) < n:
                 raise ValueError(f"final state {x} outside [0, {n})")
         except Exception as exc:
-            # Commit only completed paths so counts[k] <= paths_completed holds.
-            acc.counts += counts
-            acc.paths_completed += j - start
-            raise CollectionError(
-                f"simulator failed on path {j}: {exc}", partial=acc
-            ) from exc
+            return j - start, counts, exc  # path j is torn, so counts[k] <= paths holds
         counts += returns if w is None else returns * w
-    acc.counts += counts
-    acc.paths_completed += stop - start
+    return stop - start, counts, None
 
 
 def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulator:
     """Run ``engine``'s blocks and add them in block order into one accumulator; return it.
 
-    The start law decides the counting (see the module docstring).  A start
-    whose pmf is zero or below ``min_pmf`` (a weight above 1) fails its path
-    like a raising simulator.  A ``CollectionError``'s ``partial`` holds the
-    paths committed before the failure: a scalar block commits its completed
-    paths, a vectorized block all or none of them, and no block after the
-    failing one is added.  Forked children are gone when this returns or
-    raises.
+    The oracle's kind, read once, picks the block function, and one worker
+    for a scalar-only oracle.  The start law decides the counting (see the
+    module docstring); a start whose pmf is zero or below ``min_pmf`` (a
+    weight above 1) fails its path like a raising simulator.  A failure
+    raises one ``CollectionError`` naming the block, whose ``partial`` holds
+    a scalar block's completed paths (``paths_completed`` is the failing
+    path's index), a vectorized block's all or none, and no later block.
+    Forked children are gone when this returns or raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
     min_pmf = initial.min_pmf()
@@ -300,12 +300,9 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     I = cfg.num_paths
     blocks = [(start, min(start + BLOCK_SIZE, I)) for start in range(0, I, BLOCK_SIZE)]
     if getattr(engine.oracle, "uniforms_per_step", None) is None:
-        streams = _PathStreams(engine.master_seed)
-        for start, stop in blocks:
-            _collect_block_scalar(engine, acc, weight, streams, start, stop)
-        return acc
-
-    workers = min(engine.worker_count, len(blocks))
+        collect_block, workers = _collect_block_scalar, 1
+    else:
+        collect_block, workers = _collect_block_vectorized, min(engine.worker_count, len(blocks))
     if workers > 1:
         import multiprocessing
 
@@ -314,7 +311,7 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     children = []  # (process, read end of its pipe) of each run of blocks, in block order
     try:
         if workers == 1:
-            results = _block_counts(engine, weight, blocks)
+            results = _block_counts(collect_block, engine, weight, blocks)
         else:
             fork = multiprocessing.get_context("fork")
             size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
@@ -322,18 +319,18 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
             for a, b in zip(ends, ends[1:]):
                 conn, child_conn = fork.Pipe(duplex=False)
                 with child_conn:  # closed here, the child's copy alone keeps the pipe open
-                    run = (child_conn, engine, weight, blocks[a:b])  # inherited under fork, not pickled
+                    run = (child_conn, collect_block, engine, weight, blocks[a:b])  # inherited, not pickled
                     child = fork.Process(target=_run_in_child, args=run, daemon=True)
                     child.start()
                 children.append((child, conn))
             results = itertools.chain.from_iterable(_receive(*c) for c in children)
-        for (start, stop), counts in zip(blocks, results):
-            if isinstance(counts, Exception):
-                raise CollectionError(
-                    f"simulator failed in block of paths {start}..{stop - 1}: {counts}", partial=acc
-                ) from counts
+        for (start, stop), (paths, counts, failure) in zip(blocks, results):
             acc.counts += counts
-            acc.paths_completed += stop - start
+            acc.paths_completed += paths
+            if failure is not None:
+                raise CollectionError(
+                    f"simulator failed in block of paths {start}..{stop - 1}: {failure}", partial=acc
+                ) from failure
     finally:
         for child, conn in children:
             child.terminate()
@@ -470,6 +467,7 @@ class UspEngine:
     on_segment: Optional[Callable[[int], None]] = None
 
     def __post_init__(self):
+        _require_integer("master_seed", self.master_seed)
         _require_integer("segment_length", self.segment_length)
         if self.segment_length < 1:
             raise ValueError("segment_length must be >= 1")
@@ -619,6 +617,7 @@ def trajectory_from_oracle(
     oracle: TransitionOracle, start_state: int, master_seed: int, max_steps: int | None = None
 ) -> Iterator[int]:
     """Stream a single trajectory X_0 = start_state, X_1, ... from the oracle."""
+    _require_integer("master_seed", master_seed)
     rng = path_rng(master_seed, TRAJECTORY_STREAM_KEY)
     x = start_state
     if max_steps is None or max_steps > 0:

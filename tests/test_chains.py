@@ -308,6 +308,17 @@ def test_uniform_sampler_pmf():
     assert s.min_pmf() == 0.125
 
 
+@pytest.mark.parametrize("size", [2.5, True, "2", np.float64(2.0)])
+def test_uniform_sampler_size_must_be_an_integer(size):
+    # UniformSampler(2.5) used to report min_pmf 0.4 and silently weight every start.
+    with pytest.raises(TypeError, match="^size must be an integer, not "):
+        UniformSampler(size)
+
+
+def test_uniform_sampler_accepts_numpy_integers():
+    assert UniformSampler(np.int64(8)).min_pmf() == UniformSampler(8).min_pmf() == 0.125
+
+
 def test_tabular_sampler_draws_match_pmf():
     probs = [0.5, 0.3, 0.2]
     s = TabularSampler(probs)

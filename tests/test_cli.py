@@ -214,6 +214,27 @@ def test_config_errors_exit_two(capsys, argv):
         assert "--nonlazy" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--chain", "line", "--n", "20000", "--usp-path", "/nonexistent.txt"],
+         "--usp-path requires the single-trajectory model (usp)"),
+        (["coverage", "--chain", "line", "--n", "20000", "--trials", "200", "--usp-path", "t.txt"],
+         "--usp-path requires the single-trajectory model (usp)"),
+        (["run", "--chain", "line", "--n", "20000", "--matrix-file", "/nonexistent.txt"],
+         "--matrix-file requires --chain matrix"),
+        (["run", "--chain", "regular", "--n", "20000", "--model", "usp", "--matrix-file", "m.txt"],
+         "--matrix-file requires --chain matrix"),
+    ],
+)
+def test_option_of_another_model_or_chain_exits_two(capsys, argv, message):
+    # Each option used to be ignored: the run estimated from simulated fresh
+    # paths, or from the named chain, and exited 0.
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("content", [None, "0\n1\nx\n2\n"])
 def test_bad_usp_path_exits_two(tmp_path, capsys, content):
     # A missing file, and a malformed one (line 3 is not a state).

@@ -56,3 +56,24 @@ print(started, "multiprocessing.pool" in sys.modules)
 def test_pooled_collection_starts_no_thread_and_no_pool():
     # One forked child and one pipe per run of blocks: no handler threads in the parent.
     assert run_fresh(POOLED_COLLECTION) == "[] False"
+
+
+SCALAR_COLLECTION = """
+import sys, specgap
+class ScalarOnly:
+    def __init__(self, inner):
+        self.inner = inner
+    def state_space_size(self):
+        return self.inner.state_space_size()
+    def next_state(self, x, rng):
+        return self.inner.next_state(x, rng)
+cfg = specgap.UcpiConfig(20, 3000, 5, 0.1)  # 3 blocks
+oracle = ScalarOnly(specgap.BiasedLineChain(20, 0.7))
+specgap.rtf_collect(specgap.RtfEngine(oracle, specgap.UniformSampler(20), cfg, 5, worker_count=2))
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_scalar_collection_never_imports_multiprocessing():
+    # A scalar-only oracle gets one worker whatever worker_count asks for.
+    assert run_fresh(SCALAR_COLLECTION) == "False"

@@ -19,6 +19,7 @@ from specgap.sampling import (
     RtfEngine,
     UspEngine,
     _PathStreams,
+    estimate_nonlazy,
     path_rng,
     rtf_collect,
     states_from_file,
@@ -323,6 +324,33 @@ def test_partial_counts_preserved_on_oracle_failure():
     assert isinstance(exc_info.value.__cause__, RuntimeError)
 
 
+class FailsAfterCalls(CountingOracle):
+    def __init__(self, inner, limit):
+        super().__init__(inner)
+        self.limit = limit
+
+    def next_state(self, x, rng):
+        if self.calls >= self.limit:
+            raise RuntimeError("transition backend went away")
+        return super().next_state(x, rng)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scalar_failure_names_its_block_and_keeps_its_completed_paths(workers):
+    chain, K = BiasedLineChain(20, 0.7), 5
+    oracle = FailsAfterCalls(chain, limit=1500 * K)  # dies on path 1500 of 3000, in the second block
+    engine = RtfEngine(oracle, UniformSampler(20), UcpiConfig(20, 3000, K, 0.1), 5, workers)
+    with pytest.raises(CollectionError) as exc_info:
+        rtf_collect(engine)
+    assert str(exc_info.value) == (
+        "simulator failed in block of paths 1024..2047: transition backend went away"
+    )
+    partial = exc_info.value.partial
+    assert partial.paths_completed == BLOCK_SIZE + 476  # the first block, then 476 of the second
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 1500, K, 0.1), 5))
+    assert np.array_equal(partial.counts, clean.counts)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_vectorized_kernel_failure_keeps_completed_blocks(workers):
     chain = BiasedLineChain(20, 0.7)
@@ -469,6 +497,28 @@ def test_child_failure_that_cannot_be_pickled_arrives_named(make_error, name):
     with pytest.raises(CollectionError, match=f"block of paths 2048..2999: {name}: .*disk gone"):
         rtf_collect(make_engine(KernelFailsOnShortBlock(chain, make_error), cfg, 5, workers=2))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.9, True, "2", None, np.float64(2.0)])
+def test_master_seed_must_be_an_integer(seed):
+    # A float seed used to be truncated: 2.5 and 2.9 both ran seed 2's paths.
+    cfg = UcpiConfig(2, 100, 5, 0.1)
+    with pytest.raises(TypeError, match="^master_seed must be an integer, not "):
+        RtfEngine(TWO_STATE, UniformSampler(2), cfg, seed)
+    with pytest.raises(TypeError, match="^master_seed must be an integer, not "):
+        estimate_nonlazy(TWO_STATE, cfg, UniformSampler(2), seed)
+    with pytest.raises(TypeError, match="^master_seed must be an integer, not "):
+        UspEngine([0, 1] * 50, 5, UniformSampler(2), seed)
+    with pytest.raises(TypeError, match="^master_seed must be an integer, not "):
+        next(trajectory_from_oracle(TWO_STATE, 0, seed))
+
+
+def test_master_seed_accepts_numpy_integers():
+    cfg = UcpiConfig(2, 100, 5, 0.1)
+    numpy_seeded = rtf_collect(RtfEngine(TWO_STATE, UniformSampler(2), cfg, np.uint64(7)))
+    assert np.array_equal(numpy_seeded.counts, rtf_collect(make_engine(TWO_STATE, cfg, 7)).counts)
+    states = list(trajectory_from_oracle(TWO_STATE, 0, np.int64(7), max_steps=50))
+    assert states == list(trajectory_from_oracle(TWO_STATE, 0, 7, max_steps=50))
 
 
 @pytest.mark.parametrize("workers", [2.5, True, "2", None])
