@@ -3,11 +3,12 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from specgap import cli
+from specgap import cli, sampling
 from specgap.chains import DenseMatrixChain, save_matrix_chain
 from specgap.cli import (
     CSV_COLUMNS,
@@ -250,6 +251,13 @@ def test_bad_usp_path_exits_two(tmp_path, capsys, content):
     assert err.startswith("configuration error: cannot read trajectory file")
     if content is not None:
         assert "line 3" in err
+
+
+@pytest.mark.parametrize("content", [None, "0\n1\nx\n2\n"])
+def test_bad_usp_path_exits_two_through_the_forked_reader(tmp_path, capsys, monkeypatch, content):
+    monkeypatch.setattr(sampling, "FORK_READ_STATES", 0)
+    test_bad_usp_path_exits_two(tmp_path, capsys, content)
+    assert multiprocessing.active_children() == []
 
 
 def test_mu_file_wrong_length_exits_two(tmp_path, capsys):

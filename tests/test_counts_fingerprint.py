@@ -7,10 +7,12 @@ here untouched; a deliberate stream change updates them in one place.
 """
 
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from specgap import sampling
 from specgap.chains import (
     BiasedLineChain,
     DenseMatrixChain,
@@ -170,17 +172,32 @@ def usp_fingerprint(source, num_segments):
     return sha256(acc.counts), acc.paths_completed, stats, sha256(starts)
 
 
-def test_usp_file_fingerprint_is_pinned(tmp_path):
-    # A 40,000-state file cut to 30,000 by max_steps; the source runs out.
-    path = tmp_path / "trace.txt"
+USP_FILE_FINGERPRINT = (
+    "1621af39e808a5ced64f51f4007e0c9035ec7753136dd968c4f43314f02ad889",
+    546,
+    (546, 30_000, 23_438, 574, True),
+    "ee01f6ff60706bd41c93d55c337d17c174c73e485989a70bff8724b5e8b991e8",
+)
+
+
+def write_usp_file(path):
+    # A 40,000-state file, cut to 30,000 by max_steps; the source runs out.
     states = trajectory_from_oracle(WALK, 3, master_seed=1, max_steps=40_000)
     path.write_text("\n".join(map(str, states)) + "\n")
-    assert usp_fingerprint(states_from_file(path, max_steps=30_000), 2100) == (
-        "1621af39e808a5ced64f51f4007e0c9035ec7753136dd968c4f43314f02ad889",
-        546,
-        (546, 30_000, 23_438, 574, True),
-        "ee01f6ff60706bd41c93d55c337d17c174c73e485989a70bff8724b5e8b991e8",
-    )
+    return path
+
+
+def test_usp_file_fingerprint_is_pinned(tmp_path):
+    path = write_usp_file(tmp_path / "trace.txt")
+    assert usp_fingerprint(states_from_file(path, max_steps=30_000), 2100) == USP_FILE_FINGERPRINT
+
+
+def test_usp_file_fingerprint_is_pinned_through_the_forked_reader(tmp_path, monkeypatch):
+    # The trace is below the fork threshold, so only a threshold of 0 parses it in a child.
+    path = write_usp_file(tmp_path / "trace.txt")
+    monkeypatch.setattr(sampling, "FORK_READ_STATES", 0)
+    assert usp_fingerprint(states_from_file(path, max_steps=30_000), 2100) == USP_FILE_FINGERPRINT
+    assert multiprocessing.active_children() == []
 
 
 def test_usp_oracle_fingerprint_is_pinned():

@@ -6,11 +6,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code):
+def run_fresh(code, *args):
     """What ``code`` prints in a fresh interpreter: this test session has imported scipy already."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     return result.stdout.strip()
 
@@ -77,3 +77,20 @@ print("multiprocessing" in sys.modules)
 def test_scalar_collection_never_imports_multiprocessing():
     # A scalar-only oracle gets one worker whatever worker_count asks for.
     assert run_fresh(SCALAR_COLLECTION) == "False"
+
+
+SMALL_TRACE = """
+import sys, specgap
+from specgap import sampling
+path = sys.argv[1]
+with open(path, "w") as f:
+    f.write("\\n".join(str(i % 4) for i in range(sampling.FORK_READ_STATES - 1)))
+engine = specgap.UspEngine(specgap.states_from_file(path), 5, specgap.UniformSampler(4), 1)
+specgap.usp_collect(engine, 10**9)
+print(engine.stats.source_steps_consumed == sampling.FORK_READ_STATES - 1, "multiprocessing" in sys.modules)
+"""
+
+
+def test_trace_below_the_fork_threshold_never_imports_multiprocessing(tmp_path):
+    # Only a read of at least FORK_READ_STATES states forks a reader child.
+    assert run_fresh(SMALL_TRACE, str(tmp_path / "trace.txt")) == "True False"

@@ -6,11 +6,22 @@ and must match it exactly: counts, every ``UspStats`` field, the
 ``on_segment`` sequence and the target draws.
 """
 
+import contextlib
+import faulthandler
+import itertools
+import math
+import multiprocessing
+import os
+import signal
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgap import sampling
 from specgap.chains import BiasedLineChain, TabularSampler, UniformSampler
 from specgap.estimator import ReturnCountAccumulator, config_for_budget
 from specgap.sampling import (
@@ -357,3 +368,185 @@ def test_reader_max_steps_counts_states_and_stops_before_bad_lines(tmp_path):
 def test_reader_rejects_negative_max_steps(tmp_path):
     with pytest.raises(ValueError, match="max_steps"):
         states_from_file(tmp_path / "t.txt", -1)
+
+
+@pytest.mark.parametrize("max_steps", [2.5, 3.0, True, np.float64(3.0), "3"])
+def test_reader_max_steps_must_be_an_integer(tmp_path, max_steps):
+    # 2.5 read every state of a file with spaces and raised numpy's own error on
+    # a digits-only one; 3.0 read 3 states or raised, by the file's format; True read 1.
+    path = write_trace(tmp_path / "t.txt", [4, 5, 6, 7])
+    for make in (TraceFile, states_from_file):
+        with pytest.raises(TypeError, match="^max_steps must be an integer, not "):
+            make(path, max_steps)
+
+
+def test_reader_max_steps_accepts_numpy_integers(tmp_path):
+    path = write_trace(tmp_path / "t.txt", [4, 5, 6, 7])
+    assert read(path, np.int64(3)) == [4, 5, 6]
+    assert read(path, np.uint8(0)) == []
+
+
+# ---------------------------------------------------------------------------
+# the forked reader: a trace parsed in a child and read from its pipe
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def reader(forked):
+    """Parse every trace in a forked child (``forked``) or every one in process."""
+    with mock.patch.object(sampling, "FORK_READ_STATES", 0 if forked else math.inf):
+        yield
+    assert multiprocessing.active_children() == []
+
+
+def chunks_and_extraction(path, max_steps, K, size, wanted, seed, forked):
+    """Each chunk's states, then ``extract``'s result or the error it raises."""
+    with reader(forked):
+        chunks = [(c.dtype, c.tolist()) for c in TraceFile(path, max_steps).chunks()]
+        try:
+            result = extract(usp_collect, states_from_file(path, max_steps), K, UniformSampler(size), wanted, seed)
+        except ValueError as exc:
+            result = repr(exc)
+    return chunks, result
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace file bytes with blank lines, CRLF, spaces and multi-digit states, and its states' range."""
+    size = draw(st.integers(1, 12))
+    length = draw(st.one_of(st.integers(0, 30), st.integers(CHUNK - 2, 3 * CHUNK + 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = np.cumsum(rng.random(length) < 0.3) % size
+    if draw(st.booleans()):  # an occasional state the targets do not cover
+        states += size * (rng.random(length) < 0.001)
+    pads = np.array(["", "", "", " ", "\t", "  ", "0"])
+    lead, trail = pads[rng.integers(len(pads), size=length)], pads[rng.integers(len(pads) - 1, size=length)]
+    blank = rng.random(length) < draw(st.sampled_from([0.0, 0.05]))
+    ends = np.array(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]])))
+    end = ends[rng.integers(len(ends), size=length)]
+    text = "".join(
+        ("\n" * b) + f"{a}{x}{z}{e}" for a, x, z, e, b in zip(lead, states.tolist(), trail, end, blank.tolist())
+    )
+    if length and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(), size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trace_texts(),
+    st.one_of(st.none(), st.integers(0, 4 * CHUNK)),
+    st.integers(1, 40),
+    st.integers(1, 60),
+    st.integers(0, 2**64 - 1),
+)
+def test_forked_reader_matches_in_process(tmp_path_factory, text_and_size, max_steps, K, wanted, seed):
+    text, size = text_and_size
+    path = tmp_path_factory.mktemp("trace") / "trace.txt"
+    path.write_bytes(text)
+    forked = chunks_and_extraction(path, max_steps, K, size, wanted, seed, forked=True)
+    in_process = chunks_and_extraction(path, max_steps, K, size, wanted, seed, forked=False)
+    assert forked == in_process
+    assert all(dtype == np.int64 for dtype, _ in forked[0])
+
+
+def big_trace(path, states=20 * CHUNK, bad_line=None):
+    """A lazy walk on 4 states, one per line; ``bad_line`` (1-based) reads ``x``."""
+    rng = np.random.default_rng(5)
+    lines = [str(x) for x in np.cumsum(rng.random(states) < 0.5) % 4]
+    if bad_line is not None:
+        lines[bad_line - 1] = "x"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("forked", [True, False])
+@pytest.mark.parametrize("bad_line", [2, 3 * CHUNK, 15 * CHUNK + 7])
+def test_forked_reader_raises_a_bad_line_where_the_caller_reaches_it(tmp_path, forked, bad_line):
+    path = big_trace(tmp_path / "t.txt", bad_line=bad_line)
+    with reader(forked):
+        with pytest.raises(ValueError, match=f"^line {bad_line}: not a base-10 integer: b'x'$"):
+            list(TraceFile(path).chunks())
+        with pytest.raises(ValueError, match=f"^line {bad_line}: "):
+            usp_collect(UspEngine(states_from_file(path), 5, UniformSampler(4), 1), 10**6)
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_forked_reader_ignores_a_bad_line_after_the_last_chunk_used(tmp_path, forked):
+    # The child parses past line 4 * CHUNK before the caller stops; it never reads that far.
+    path = big_trace(tmp_path / "t.txt", bad_line=4 * CHUNK)
+    engine = UspEngine(states_from_file(path), 5, UniformSampler(4), 1)
+    with reader(forked):
+        acc = usp_collect(engine, 20)
+    assert acc.paths_completed == 20 and engine.stats.source_steps_consumed < CHUNK
+
+
+def test_missing_trace_raises_before_any_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for a file that does not open")
+
+    monkeypatch.setattr(sampling, "_fork_context", no_fork)
+    with reader(forked=True):
+        with pytest.raises(FileNotFoundError):
+            list(TraceFile(tmp_path / "missing.txt").chunks())
+
+
+def exit_after_one_chunk(fh, max_steps, parent=os.getpid(), read_chunks=sampling._read_chunks):
+    yield from itertools.islice(read_chunks(fh, max_steps), 1)
+    if os.getpid() != parent:  # never end the test process itself
+        os._exit(3)
+
+
+@pytest.mark.parametrize("how", ["os._exit", "SIGKILL"])
+def test_reader_child_that_dies_raises_with_its_exit_code(tmp_path, monkeypatch, how):
+    path = big_trace(tmp_path / "t.txt", states=200 * CHUNK)  # more than the pipe holds
+    if how == "os._exit":
+        monkeypatch.setattr(sampling, "_read_chunks", exit_after_one_chunk)
+    code = 3 if how == "os._exit" else -signal.SIGKILL
+    faulthandler.dump_traceback_later(60, exit=True)  # a hang fails the run instead of stalling it
+    try:
+        with reader(forked=True):
+            chunks = TraceFile(path).chunks()
+            with pytest.raises(RuntimeError, match=f"^trace reader process exited with code {code} "):
+                if how == "SIGKILL":
+                    next(chunks)
+                    (child,) = multiprocessing.active_children()
+                start = time.perf_counter()
+                if how == "SIGKILL":
+                    os.kill(child.pid, signal.SIGKILL)
+                for _ in chunks:
+                    pass
+            assert time.perf_counter() - start < 1.0
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_early_stop_leaves_no_reader_child(tmp_path):
+    path = big_trace(tmp_path / "t.txt")
+    with reader(forked=True):
+        chunks = TraceFile(path).chunks()
+        next(chunks)
+        assert len(multiprocessing.active_children()) == 1
+        chunks.close()
+        assert multiprocessing.active_children() == []
+        assert usp_collect(UspEngine(states_from_file(path), 5, UniformSampler(4), 1), 3).paths_completed == 3
+        assert multiprocessing.active_children() == []
+
+
+def test_reader_parses_in_process_without_fork_or_in_a_daemonic_process(tmp_path, monkeypatch):
+    path = big_trace(tmp_path / "t.txt")
+    with reader(forked=False):
+        expected = [c.tolist() for c in TraceFile(path).chunks()]
+    with reader(forked=True):
+        pool = multiprocessing.get_context("fork").Pool(1)  # a daemonic pool child may not fork
+        try:
+            nested = pool.apply_async(read, (path,)).get(timeout=60)
+        finally:
+            pool.close()
+            pool.join()
+        assert nested == sum(expected, [])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        chunks = TraceFile(path).chunks()
+        assert next(chunks).tolist() == expected[0]
+        assert multiprocessing.active_children() == []
+        chunks.close()
