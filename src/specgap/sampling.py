@@ -27,34 +27,53 @@ counts, failure)``; one loop adds the blocks into one accumulator in block
 order and raises ``CollectionError`` at the first failure.
 With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
 the blocks are split into up to ``worker_count`` contiguous runs, each
-computed by a daemonic child forked for the call (Linux ``fork``; some
-10-30 ms a call on a 2-vCPU VM, so a call of a few blocks can be slower
-than serial).  The engine reaches the children by fork inheritance, so
-oracles need not be picklable, and a stateful oracle's or sampler's state
-lives in each child: the caller's copy does not see their calls.  Each
-child sends its run's K-vectors in one message over its own pipe, the
-parent reads the pipes in run order and adds the vectors in block order,
-so the counts are bit-identical at any worker count.  Every child is
-terminated and joined before the call returns or raises, and one that dies
-without sending (a signal, ``os._exit``, a crash in native code) raises
-``CollectionError`` with its exit code.  Scalar-only oracles run every
-block in the calling thread, because black-box simulators are often
-stateful and their callers may count their calls; so do platforms without
-``fork`` and calls made in a daemonic process, which may not start
-children.  From Python 3.12, forking a process that holds threads (a BLAS
-pool, say) raises a ``DeprecationWarning``.
+computed in a forked child (below) that sends each block's K-vector down
+its pipe; the parent reads the children in run order and adds the vectors
+in block order, so the counts are bit-identical at any worker count.  A
+block that fails ends its child's stream, and so does a child that dies,
+whose failure names its exit code; the partial then holds the blocks sent
+whole before it.  Forking costs some 10-30 ms a call on a 2-vCPU VM, so a
+call of a few blocks can be slower than serial.  A stateful oracle's or
+sampler's state lives in each child: the caller's copy does not see their
+calls.  Scalar-only oracles run every block in the calling thread, because
+black-box simulators are often stateful and their callers may count their
+calls.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
 simulator does.  The states in between are not checked.
 
-A trace file of at least ``FORK_READ_STATES`` states is parsed in one
-daemonic child forked for the read, which sends its int64 chunks down a
-pipe while ``usp_collect`` extracts segments from the chunks already sent;
-the chunks and every error are those of the in-process parser (see
-``TraceFile``).  Without ``fork``, in a daemonic process and for a smaller
-read, the file is parsed in the calling thread.  Each process holds
+A trace file of at least ``FORK_READ_STATES`` states is parsed in a forked
+child (below) that streams its int64 chunks while ``usp_collect`` extracts
+segments from the chunks already sent; the chunks and every error are
+those of the in-process parser (see ``TraceFile``).  Each process holds
 O(CHUNK + K) memory.
+
+Forked children.  Both uses above run through one runner,
+``_in_children``, whose life has four parts:
+
+- Start: one daemonic child per job, forked from the Linux ``fork``
+  context, inherits the job's arguments rather than receiving them
+  pickled, so oracles need not be picklable.  Each child has its own
+  pipe, and the parent closes its copy of the write end.
+- Send: the child writes each array its job yields as an int64 item count
+  followed by the items, then ``-1 - len(failure)`` and the pickled
+  exception the job raised, if any (an empty failure when it ended
+  cleanly); an exception that does not survive pickling is sent as a
+  ``RuntimeError`` naming its type.  It buffers ``_PIPE_BATCH`` bytes a
+  write.
+- Receive: the parent reads the children in job order, each array into a
+  buffer of exactly its size, then raises the child's failure.  A pipe
+  that ends before the end marker (a signal, ``os._exit``, a crash in
+  native code) raises ``RuntimeError`` naming the child's exit code.
+- Stop: every child is terminated, joined and closed, and every pipe
+  closed, when the stream ends, is closed or fails, so no child outlives
+  the call that started it.
+
+Without ``fork``, and in a daemonic process, which may not start
+children, both uses run in the calling thread.  From Python 3.12, forking
+a process that holds threads (a BLAS pool, say) raises a
+``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -117,8 +136,8 @@ FORK_READ_STATES = 2**18
 
 _INT64_MAX = 2**63 - 1
 
-#: Bytes the reader child buffers per write to its pipe: fewer, larger writes
-#: wake the reading parent less often than one write per chunk.
+#: Bytes a forked child buffers per write to its pipe: fewer, larger writes
+#: wake the reading parent less often than one write per array.
 _PIPE_BATCH = 32768
 
 
@@ -178,9 +197,9 @@ class RtfEngine:
 
     ``worker_count``, an integer of at least 1, caps the child processes
     forked to compute a vectorized oracle's blocks, one per contiguous run
-    of blocks, each with its own copy of the oracle and the sampler;
-    forking them costs some 10-30 ms a call.  A scalar-only oracle runs in
-    the calling thread at any count (see the module docstring).
+    of blocks, each with its own copy of the oracle and the sampler.  A
+    scalar-only oracle runs in the calling thread at any count.  The
+    module docstring describes the children and their cost.
     """
 
     oracle: TransitionOracle
@@ -250,37 +269,104 @@ def _fork_context():
     """
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return None
-    return multiprocessing.get_context("fork")
+    usable = "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
+    return multiprocessing.get_context("fork") if usable else None
 
 
-def _picklable(exc):
-    """``exc`` (or None) if it survives a pickle round trip, else a RuntimeError naming its type."""
+def _in_children(fork, produce, jobs, dtype, died) -> Iterator[np.ndarray]:
+    """Fork a child for each of ``jobs``; return a stream of the ``dtype`` arrays of their ``produce(*job)``.
+
+    Every child has started when this returns, and a failed fork raises
+    here rather than from the stream; the module docstring describes the
+    children's start, wire format, receive and stop.  A child whose pipe
+    ends early raises ``RuntimeError(died.format(exit_code))``.
+    """
+    stream = _child_stream(fork, produce, jobs, dtype, died)
+    next(stream)  # runs the start
+    return stream
+
+
+def _child_stream(fork, produce, jobs, dtype, died):
+    """``_in_children``' generator: yields None once every child has started, then their arrays."""
+    children, pipes = [], []
     try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
+        for job in jobs:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb", buffering=0))
+            with open(w, "wb", buffering=0):  # closed here, the child's copy alone keeps the pipe open
+                child = fork.Process(target=_send, args=(w, produce, job), daemon=True)  # inherited, not pickled
+                child.start()
+            children.append(child)
+        yield
+        count = np.empty(1, np.int64)
+        for child, pipe in zip(children, pipes):
+            while True:
+                _read_into(pipe, count, child, died)
+                if count[0] < 0:
+                    break
+                array = np.empty(count[0], dtype)
+                _read_into(pipe, array, child, died)
+                yield array
+                array = None  # not held while the next array is read
+            failure = bytearray(-1 - int(count[0]))
+            if failure:
+                _read_into(pipe, failure, child, died)
+                raise pickle.loads(failure)
+    finally:
+        for child in children:
+            child.terminate()
+            child.join()
+            child.close()
+        for pipe in pipes:
+            pipe.close()
 
 
-def _run_in_child(conn, collect_block, engine, weight, blocks):
-    """Send ``_block_counts`` of a run of blocks as one list whose failure, if any, survives pickling."""
-    results = list(_block_counts(collect_block, engine, weight, blocks))
-    paths, counts, exc = results[-1]
-    results[-1] = paths, counts, _picklable(exc)
-    conn.send(results)
+def _send(w, produce, job):
+    """In the child: write the arrays of ``produce(*job)``, then its failure, to the pipe end ``w``."""
+    with open(w, "wb", buffering=_PIPE_BATCH) as out:
+        failure = b""
+        try:
+            for array in produce(*job):
+                out.write(np.int64(array.size))
+                out.write(array)
+        except Exception as exc:
+            try:
+                failure = pickle.dumps(exc)
+                pickle.loads(failure)
+            except Exception:  # one that does not survive pickling is sent named
+                failure = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        out.write(np.int64(-1 - len(failure)))
+        out.write(failure)
 
 
-def _receive(child, conn):
-    """The list a child sends, or one failure naming its exit code if it died first."""
+def _read_into(pipe, buf, child, died):
+    """Fill ``buf`` from ``pipe``, or raise naming ``child``'s exit code if the pipe ends first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            child.join()
+            raise RuntimeError(died.format(child.exitcode))
+        view = view[got:]
+
+
+def _block_stream(collect_block, engine, weight, blocks) -> Iterator[np.ndarray]:
+    """In a child: the counts of each of ``blocks``, all paths of a block or none; a failure raises."""
+    for _, counts, failure in _block_counts(collect_block, engine, weight, blocks):
+        if failure is not None:
+            raise failure
+        yield counts
+
+
+def _as_blocks(arrays, blocks):
+    """``_block_counts``' triples of ``blocks`` from the counts that ``arrays`` yields before it raises."""
     try:
-        return conn.recv()
-    except (EOFError, OSError):  # its end of the pipe closed before a whole message
-        child.join()
-        code = child.exitcode
-        failure = RuntimeError(f"collection process exited with code {code} before sending its counts")
-        return [(0, 0, failure)]
+        for (start, stop), counts in zip(blocks, arrays):
+            yield stop - start, counts, None
+    except Exception as exc:
+        yield 0, 0, exc
+    finally:
+        arrays.close()
 
 
 def _collect_block_scalar(engine, weight, streams, start, stop):
@@ -316,8 +402,9 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     weight above 1) fails its path like a raising simulator.  A failure
     raises one ``CollectionError`` naming the block, whose ``partial`` holds
     a scalar block's completed paths (``paths_completed`` is the failing
-    path's index), a vectorized block's all or none, and no later block.
-    Forked children are gone when this returns or raises.
+    path's index), a vectorized block's all or none, and no later block; a
+    child that dies fails the first block it did not send whole.  Forked
+    children are gone when this returns or raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
     min_pmf = initial.min_pmf()
@@ -342,21 +429,15 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     else:
         collect_block, workers = _collect_block_vectorized, min(engine.worker_count, len(blocks))
     fork = _fork_context() if workers > 1 else None
-    children = []  # (process, read end of its pipe) of each run of blocks, in block order
+    if fork is None:
+        results = _block_counts(collect_block, engine, weight, blocks)
+    else:
+        size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
+        ends = [i * size + min(i, extra) for i in range(workers + 1)]
+        jobs = [(collect_block, engine, weight, blocks[a:b]) for a, b in zip(ends, ends[1:])]
+        died = "collection process exited with code {} before sending its counts"
+        results = _as_blocks(_in_children(fork, _block_stream, jobs, acc.counts.dtype, died), blocks)
     try:
-        if fork is None:
-            results = _block_counts(collect_block, engine, weight, blocks)
-        else:
-            size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
-            ends = [i * size + min(i, extra) for i in range(workers + 1)]
-            for a, b in zip(ends, ends[1:]):
-                conn, child_conn = fork.Pipe(duplex=False)
-                with child_conn:  # closed here, the child's copy alone keeps the pipe open
-                    run = (child_conn, collect_block, engine, weight, blocks[a:b])  # inherited, not pickled
-                    child = fork.Process(target=_run_in_child, args=run, daemon=True)
-                    child.start()
-                children.append((child, conn))
-            results = itertools.chain.from_iterable(_receive(*c) for c in children)
         for (start, stop), (paths, counts, failure) in zip(blocks, results):
             acc.counts += counts
             acc.paths_completed += paths
@@ -365,10 +446,7 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
                     f"simulator failed in block of paths {start}..{stop - 1}: {failure}", partial=acc
                 ) from failure
     finally:
-        for child, conn in children:
-            child.terminate()
-            child.join()
-            conn.close()
+        results.close()  # stops the children
     return acc
 
 
@@ -479,14 +557,10 @@ class UspEngine:
     as ``states_from_file``) hands them over itself, and any other iterable
     is read ``CHUNK`` states at a time, so up to ``CHUNK - 1`` states past
     the last one used may be drawn from it.  Each state is inspected once,
-    and memory stays O(CHUNK + K) however long the trajectory.  A
-    ``TraceFile`` of at least ``FORK_READ_STATES`` states is parsed in a
-    forked reader child meanwhile, which holds O(CHUNK) memory of its own
-    and is gone when the call returns or raises; without ``fork``, in a
-    daemonic process and for a smaller file, it is parsed in process (see
-    ``TraceFile``).  ``stats``
-    is not a parameter: each ``usp_collect`` call replaces it with the
-    stats of that call.
+    and memory stays O(CHUNK + K) however long the trajectory.  A large
+    ``TraceFile`` is parsed in a forked child meanwhile (see ``TraceFile``).
+    ``stats`` is not a parameter: each ``usp_collect`` call replaces it
+    with the stats of that call.
 
     Each call reads a re-iterable source (a list, a ``TraceFile``) again
     from its start and so repeats the same segments: never sum two calls.
@@ -654,15 +728,23 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
 def trajectory_from_oracle(
     oracle: TransitionOracle, start_state: int, master_seed: int, max_steps: int | None = None
 ) -> Iterator[int]:
-    """Stream a single trajectory X_0 = start_state, X_1, ... from the oracle."""
+    """Stream a single trajectory X_0 = start_state, X_1, ... of ``max_steps`` states (None: endless).
+
+    ``master_seed`` and ``max_steps`` are checked when this is called, not
+    when the first state is read, as ``TraceFile`` checks ``max_steps``.
+    """
     _require_integer("master_seed", master_seed)
-    rng = path_rng(master_seed, TRAJECTORY_STREAM_KEY)
-    x = start_state
-    if max_steps is None or max_steps > 0:
-        yield x
-    for _ in itertools.count() if max_steps is None else range(max_steps - 1):
-        x = oracle.next_state(x, rng)
-        yield x
+    _check_max_steps(max_steps)
+    steps = itertools.repeat(path_rng(master_seed, TRAJECTORY_STREAM_KEY))  # X_{t+1} = next_state(X_t, rng)
+    return itertools.islice(itertools.accumulate(steps, oracle.next_state, initial=start_state), max_steps)
+
+
+def _check_max_steps(max_steps):
+    """Raise unless ``max_steps`` is None or an integer of at least 0."""
+    if max_steps is not None:
+        _require_integer("max_steps", max_steps)
+        if max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
 
 class TraceFile:
@@ -679,27 +761,21 @@ class TraceFile:
     yields them as ints.  Each iteration reopens the file.
 
     A read of at least ``FORK_READ_STATES`` states (by the file's size and
-    ``max_steps``) is parsed in one daemonic child forked for it, which
-    sends each chunk down a pipe, so the caller works on one chunk while
-    the child parses the next ones.  The chunks, their boundaries and every
-    error are the same as in process, and an error is raised when the
-    caller reaches the chunk it stops, so a bad line after the last chunk
-    used raises nothing either way.  The file is opened before the fork,
-    so an open error is raised in the caller.  Memory stays O(CHUNK) in each
-    process, and the pipe holds at most its kernel buffer.  The child is
-    terminated and joined when the iteration ends, is closed or fails; one
-    that dies before ending its stream raises ``RuntimeError`` naming its
-    exit code.  Without ``fork``, in a daemonic process (which may not
-    start children) and for a smaller read, the file is parsed in process.
-    From Python 3.12, forking a process that holds threads raises a
-    ``DeprecationWarning``.
+    ``max_steps``) is parsed in one forked child, which streams each chunk
+    to the caller (the module docstring describes the child), so the
+    caller works on one chunk while the child parses the next ones.  The
+    chunks, their boundaries and every error are the same as in process,
+    and an error is raised when the caller reaches the chunk it stops, so
+    a bad line after the last chunk used raises nothing either way.  The
+    file is opened before the fork, so an open error is raised in the
+    caller.  Memory stays O(CHUNK) in each process, and the pipe holds at
+    most its kernel buffer.  A child that dies before ending its stream
+    raises ``RuntimeError`` naming its exit code.  A smaller read is
+    parsed in process.
     """
 
     def __init__(self, path, max_steps: int | None = None):
-        if max_steps is not None:
-            _require_integer("max_steps", max_steps)
-            if max_steps < 0:
-                raise ValueError("max_steps must be >= 0")
+        _check_max_steps(max_steps)
         self.path = path
         self.max_steps = max_steps
 
@@ -717,7 +793,8 @@ class TraceFile:
             if fork is None:
                 yield from _read_chunks(fh, self.max_steps)
             else:
-                yield from _forked_chunks(fork, fh, self.max_steps)
+                died = "trace reader process exited with code {} before ending its stream"
+                yield from _in_children(fork, _read_chunks, [(fh, self.max_steps)], np.int64, died)
 
 
 def _read_chunks(fh, max_steps) -> Iterator[np.ndarray]:
@@ -740,57 +817,6 @@ def _read_chunks(fh, max_steps) -> Iterator[np.ndarray]:
         pending = block[end:]
         if len(pending) > 2 * CHUNK:
             raise ValueError(f"line {line}: longer than {2 * CHUNK} bytes")
-
-
-def _forked_chunks(fork, fh, max_steps) -> Iterator[np.ndarray]:
-    """``_read_chunks(fh, max_steps)``, parsed in a child forked from ``fork`` and read from its pipe."""
-    r, w = os.pipe()
-    with open(r, "rb", buffering=0) as pipe:
-        with open(w, "wb", buffering=0):  # closed here, the child's copy alone keeps the pipe open
-            child = fork.Process(target=_send_chunks, args=(fh, max_steps, w), daemon=True)  # inherited
-            child.start()
-        try:
-            count = np.empty(1, np.int64)
-            while True:
-                _read_into(pipe, count, child)
-                if count[0] < 0:
-                    break
-                chunk = np.empty(count[0], np.int64)
-                _read_into(pipe, chunk, child)
-                yield chunk
-                chunk = None  # not held while the next chunk is read
-            failure = bytearray(-1 - int(count[0]))
-            if failure:
-                _read_into(pipe, failure, child)
-                raise pickle.loads(failure)
-        finally:
-            child.terminate()
-            child.join()
-
-
-def _send_chunks(fh, max_steps, w):
-    """Write each chunk as an int64 count and its states, then ``-1 - len(failure)`` and the pickled failure."""
-    with open(w, "wb", buffering=_PIPE_BATCH) as out:
-        failure = b""
-        try:
-            for chunk in _read_chunks(fh, max_steps):
-                out.write(np.int64(chunk.size))
-                out.write(chunk)
-        except Exception as exc:
-            failure = pickle.dumps(_picklable(exc))
-        out.write(np.int64(-1 - len(failure)))
-        out.write(failure)
-
-
-def _read_into(pipe, buf, child):
-    """Fill ``buf`` from ``pipe``, or raise naming ``child``'s exit code if the pipe ends first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            child.join()
-            raise RuntimeError(f"trace reader process exited with code {child.exitcode} before ending its stream")
-        view = view[got:]
 
 
 def _parse_lines(data: bytes, end: int, first_line: int, limit) -> np.ndarray:

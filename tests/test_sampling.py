@@ -3,7 +3,9 @@ import faulthandler
 import math
 import multiprocessing
 import os
+import signal
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from specgap import sampling
 from specgap.chains import BiasedLineChain, DenseMatrixChain, TabularSampler, UniformSampler
 from specgap.estimator import UcpiConfig, finalize_estimate
 from specgap.sampling import (
     BLOCK_SIZE,
     CollectionError,
     RtfEngine,
+    TraceFile,
     UspEngine,
     _PathStreams,
     estimate_nonlazy,
@@ -445,6 +449,29 @@ def test_child_that_dies_raises_with_its_exit_code():
     assert multiprocessing.active_children() == []
 
 
+def test_child_killed_by_a_signal_raises_with_its_exit_code():
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the short third block runs alone in the second child
+    parent = os.getpid()
+
+    def kill_in_child():
+        if os.getpid() == parent:  # never signal the test process itself
+            return RuntimeError("the kernel ran in the calling process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    faulthandler.dump_traceback_later(60, exit=True)  # a hang fails the run instead of stalling it
+    try:
+        with pytest.raises(CollectionError, match=f"block of paths 2048..2999: .*code {-signal.SIGKILL}") as exc_info:
+            rtf_collect(make_engine(KernelFailsOnShortBlock(chain, kill_in_child), cfg, 5, workers=2))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    partial = exc_info.value.partial
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 2 * BLOCK_SIZE, 5, 0.1), 5))
+    assert partial.paths_completed == clean.paths_completed
+    assert np.array_equal(partial.counts, clean.counts)
+    assert multiprocessing.active_children() == []
+
+
 def test_failed_fork_stops_the_children_already_started(monkeypatch):
     fork = multiprocessing.get_context("fork")
     start, started = fork.Process.start, []
@@ -459,6 +486,26 @@ def test_failed_fork_stops_the_children_already_started(monkeypatch):
     with pytest.raises(OSError, match="fork failed"):
         rtf_collect(make_engine(BiasedLineChain(20, 0.7), UcpiConfig(20, 3000, 5, 0.1), 5, workers=2))
     assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_forked_children_leave_no_descriptor_open(tmp_path):
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 3000, 5, 0.1)
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(map(str, trajectory_from_oracle(chain, 0, 1, max_steps=3 * 1024))) + "\n")
+    before = len(os.listdir("/proc/self/fd"))
+    with mock.patch.object(sampling, "FORK_READ_STATES", 0):  # every read forks
+        for _ in range(20):
+            rtf_collect(make_engine(chain, cfg, 5, workers=2))
+            with pytest.raises(CollectionError):
+                rtf_collect(make_engine(KernelFailsOnShortBlock(chain), cfg, 5, workers=2))
+            chunks = TraceFile(path).chunks()
+            next(chunks)
+            chunks.close()
+            assert sum(len(c) for c in TraceFile(path).chunks()) == 3 * 1024
+    assert len(os.listdir("/proc/self/fd")) == before
     assert multiprocessing.active_children() == []
 
 
@@ -802,6 +849,36 @@ def test_usp_segment_starts_are_uniform_smoke():
     observed = np.bincount(starts, minlength=10)
     _, pvalue = stats.chisquare(observed)
     assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "max_steps, error, message",
+    [
+        (-3, ValueError, "^max_steps must be >= 0$"),
+        (True, TypeError, "^max_steps must be an integer, not True$"),
+        (2.5, TypeError, "^max_steps must be an integer, not 2.5$"),
+        ("3", TypeError, "^max_steps must be an integer, not '3'$"),
+    ],
+    ids=["negative", "bool", "float", "str"],
+)
+def test_trajectory_from_oracle_checks_max_steps_when_called(max_steps, error, message):
+    # -3 used to yield nothing, True one state, and 2.5 one state before range's TypeError.
+    oracle = CountingOracle(TWO_STATE)
+    with pytest.raises(error, match=message):
+        trajectory_from_oracle(oracle, 0, 5, max_steps)  # never iterated
+    assert oracle.calls == 0
+
+
+def test_trajectory_from_oracle_checks_master_seed_when_called():
+    with pytest.raises(TypeError, match="^master_seed must be an integer, not 2.5$"):
+        trajectory_from_oracle(TWO_STATE, 0, 2.5)  # never iterated
+
+
+def test_trajectory_from_oracle_accepts_numpy_max_steps():
+    expected = list(trajectory_from_oracle(TWO_STATE, 1, 7, 4))
+    assert len(expected) == 4
+    assert list(trajectory_from_oracle(TWO_STATE, 1, 7, np.int64(4))) == expected
+    assert list(trajectory_from_oracle(TWO_STATE, 1, 7, np.uint8(4))) == expected
 
 
 def test_trajectory_from_oracle_is_reproducible():

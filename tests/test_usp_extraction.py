@@ -491,6 +491,29 @@ def test_missing_trace_raises_before_any_fork(tmp_path, monkeypatch):
             list(TraceFile(tmp_path / "missing.txt").chunks())
 
 
+def test_failed_fork_in_the_reader_closes_both_pipe_ends(tmp_path, monkeypatch):
+    path = big_trace(tmp_path / "t.txt")
+    pipe, opened = os.pipe, []
+
+    def recording_pipe():
+        ends = pipe()
+        opened.extend(ends)
+        return ends
+
+    def fail(child):
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fail)
+    with reader(forked=True):
+        with pytest.raises(OSError, match="fork failed"):
+            list(TraceFile(path).chunks())
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):  # EBADF: the end is closed
+            os.fstat(fd)
+
+
 def exit_after_one_chunk(fh, max_steps, parent=os.getpid(), read_chunks=sampling._read_chunks):
     yield from itertools.islice(read_chunks(fh, max_steps), 1)
     if os.getpid() != parent:  # never end the test process itself
