@@ -27,17 +27,19 @@ counts, failure)``; one loop adds the blocks into one accumulator in block
 order and raises ``CollectionError`` at the first failure.
 With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
 the blocks are split into up to ``worker_count`` contiguous runs, each
-computed in a forked child (below) that sends each block's K-vector down
-its pipe; the parent reads the children in run order and adds the vectors
-in block order, so the counts are bit-identical at any worker count.  A
-block that fails ends its child's stream, and so does a child that dies,
-whose failure names its exit code; the partial then holds the blocks sent
-whole before it.  Forking costs some 10-30 ms a call on a 2-vCPU VM, so a
-call of a few blocks can be slower than serial.  A stateful oracle's or
-sampler's state lives in each child: the caller's copy does not see their
-calls.  Scalar-only oracles run every block in the calling thread, because
-black-box simulators are often stateful and their callers may count their
-calls.
+given to a forked child (below) that computes all its blocks and only
+then sends each block's K-vector down its pipe, so the children overlap
+however large their output; the parent reads the children in run order
+and adds the vectors in block order, so the counts are bit-identical at
+any worker count.  A block that fails ends its child's stream after the
+blocks before it.  A child that dies (a signal, a crash in native code)
+fails the first block of its run with its exit code, and the partial
+holds the blocks before that run.  Forking costs some 10-30 ms a call on
+a 2-vCPU VM, so a call of a few blocks can be slower than serial.  A
+stateful oracle's or sampler's state lives in each child: the caller's
+copy does not see their calls.  Scalar-only oracles run every block in
+the calling thread, because black-box simulators are often stateful and
+their callers may count their calls.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -269,8 +271,9 @@ def _fork_context():
     """
     import multiprocessing
 
-    usable = "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon
-    return multiprocessing.get_context("fork") if usable else None
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return None
+    return multiprocessing.get_context("fork")
 
 
 def _in_children(fork, produce, jobs, dtype, died) -> Iterator[np.ndarray]:
@@ -294,23 +297,16 @@ def _child_stream(fork, produce, jobs, dtype, died):
             r, w = os.pipe()
             pipes.append(open(r, "rb", buffering=0))
             with open(w, "wb", buffering=0):  # closed here, the child's copy alone keeps the pipe open
-                child = fork.Process(target=_send, args=(w, produce, job), daemon=True)  # inherited, not pickled
+                child = fork.Process(target=_send, args=(w, produce, job, dtype), daemon=True)  # inherited, not pickled
                 child.start()
             children.append(child)
         yield
         count = np.empty(1, np.int64)
         for child, pipe in zip(children, pipes):
-            while True:
-                _read_into(pipe, count, child, died)
-                if count[0] < 0:
-                    break
-                array = np.empty(count[0], dtype)
-                _read_into(pipe, array, child, died)
-                yield array
-                array = None  # not held while the next array is read
-            failure = bytearray(-1 - int(count[0]))
+            while _read_into(pipe, count, child, died)[0] >= 0:
+                yield _read_into(pipe, np.empty(count[0], dtype), child, died)  # not held while the next is read
+            failure = _read_into(pipe, bytearray(-1 - int(count[0])), child, died)
             if failure:
-                _read_into(pipe, failure, child, died)
                 raise pickle.loads(failure)
     finally:
         for child in children:
@@ -321,12 +317,17 @@ def _child_stream(fork, produce, jobs, dtype, died):
             pipe.close()
 
 
-def _send(w, produce, job):
-    """In the child: write the arrays of ``produce(*job)``, then its failure, to the pipe end ``w``."""
+def _send(w, produce, job, dtype):
+    """In the child: write the ``dtype`` arrays of ``produce(*job)``, then its failure, to the pipe end ``w``.
+
+    An array of another dtype fails the job with numpy's ``TypeError``
+    rather than reaching the parent as bytes it would misread.
+    """
     with open(w, "wb", buffering=_PIPE_BATCH) as out:
         failure = b""
         try:
             for array in produce(*job):
+                array = array.astype(dtype, casting="equiv", copy=False)  # raises before its count is written
                 out.write(np.int64(array.size))
                 out.write(array)
         except Exception as exc:
@@ -340,7 +341,7 @@ def _send(w, produce, job):
 
 
 def _read_into(pipe, buf, child, died):
-    """Fill ``buf`` from ``pipe``, or raise naming ``child``'s exit code if the pipe ends first."""
+    """Fill ``buf`` from ``pipe`` and return it, or raise naming ``child``'s exit code if the pipe ends first."""
     view = memoryview(buf).cast("B")
     while view:
         got = pipe.readinto(view)
@@ -348,11 +349,19 @@ def _read_into(pipe, buf, child, died):
             child.join()
             raise RuntimeError(died.format(child.exitcode))
         view = view[got:]
+    return buf
 
 
 def _block_stream(collect_block, engine, weight, blocks) -> Iterator[np.ndarray]:
-    """In a child: the counts of each of ``blocks``, all paths of a block or none; a failure raises."""
-    for _, counts, failure in _block_counts(collect_block, engine, weight, blocks):
+    """In a child: the counts of each of ``blocks``, all paths of a block or none; a failure raises.
+
+    The whole run is computed before its first counts are yielded.  The
+    parent reads the children one after another, so a child that wrote as
+    it went would stop computing once its pipe filled, until the parent had
+    read every earlier child to its end.
+    """
+    results = list(_block_counts(collect_block, engine, weight, blocks))
+    for _, counts, failure in results:
         if failure is not None:
             raise failure
         yield counts
@@ -735,8 +744,16 @@ def trajectory_from_oracle(
     """
     _require_integer("master_seed", master_seed)
     _check_max_steps(max_steps)
-    steps = itertools.repeat(path_rng(master_seed, TRAJECTORY_STREAM_KEY))  # X_{t+1} = next_state(X_t, rng)
-    return itertools.islice(itertools.accumulate(steps, oracle.next_state, initial=start_state), max_steps)
+    return _trajectory(oracle, start_state, path_rng(master_seed, TRAJECTORY_STREAM_KEY), max_steps)
+
+
+def _trajectory(oracle, x, rng, max_steps) -> Iterator[int]:
+    """``trajectory_from_oracle``'s states, its arguments already checked."""
+    if max_steps is None or max_steps > 0:
+        yield x
+    for _ in itertools.count() if max_steps is None else range(max_steps - 1):
+        x = oracle.next_state(x, rng)
+        yield x
 
 
 def _check_max_steps(max_steps):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -543,6 +544,56 @@ def test_child_failure_that_cannot_be_pickled_arrives_named(make_error, name):
     cfg = UcpiConfig(20, 3000, 5, 0.1)  # the short third block fails
     with pytest.raises(CollectionError, match=f"block of paths 2048..2999: {name}: .*disk gone"):
         rtf_collect(make_engine(KernelFailsOnShortBlock(chain, make_error), cfg, 5, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+class KernelWaitsForEveryChild:
+    """Vectorized chain whose last kernel call in each child waits until every child has made its own."""
+
+    def __init__(self, inner, calls, folder, children=2):
+        self.inner, self.calls, self.folder, self.children = inner, calls, folder, children
+        self.uniforms_per_step = inner.uniforms_per_step
+
+    def state_space_size(self):
+        return self.inner.state_space_size()
+
+    def step_with_uniforms(self, xs, us):
+        self.calls -= 1  # each child counts its own calls
+        if self.calls == 0:
+            (self.folder / str(os.getpid())).touch()
+            deadline = time.monotonic() + 30
+            while len(os.listdir(self.folder)) < self.children:
+                if time.monotonic() > deadline:
+                    raise RuntimeError("another child never finished computing its run")
+                time.sleep(0.005)
+        return self.inner.step_with_uniforms(xs, us)
+
+
+def test_collection_children_compute_their_runs_at_once_however_large_their_output(monkeypatch, tmp_path):
+    # Each child's counts (8 blocks of K int64s, 256 KiB) outgrow its pipe and
+    # write buffer, and the parent reads the children one after another.  A
+    # child that wrote as it computed would stop at a full pipe until the
+    # parent had read the first child to its end, and here the first child
+    # waits for the second to finish computing.
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 16)
+    chain, K = BiasedLineChain(20, 0.7), 4096
+    cfg = UcpiConfig(20, 2 * 8 * 16, K, 0.1)
+    waits = KernelWaitsForEveryChild(chain, 8 * K, tmp_path)
+    counts = rtf_collect(make_engine(waits, cfg, 5, workers=2)).counts
+    assert len(os.listdir(tmp_path)) == 2
+    assert np.array_equal(counts, rtf_collect(make_engine(chain, cfg, 5)).counts)
+    assert multiprocessing.active_children() == []
+
+
+def first_arrays_of(dtype):
+    yield np.zeros(3, dtype)
+
+
+def test_child_array_of_another_dtype_raises_instead_of_being_misread():
+    died = "child exited with code {} before ending its stream"
+    stream = sampling._in_children(sampling._fork_context(), first_arrays_of, [(float,)], np.int64, died)
+    with pytest.raises(TypeError, match="float64.*int64"):
+        list(stream)
     assert multiprocessing.active_children() == []
 
 
