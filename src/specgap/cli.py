@@ -168,12 +168,24 @@ def resolve_config(spec: ExperimentSpec, state_space_size: int) -> UcpiConfig:
 
 
 def _exact_values(chain, nonlazy: bool):
-    """(lambda_star, t_r, skip_reason): exact targets when the chain is reversible."""
+    """(lambda_star, t_r, skip_reason): exact targets when the chain is reversible.
+
+    Without ``nonlazy`` the target is the second eigenvalue, which the
+    fresh-path bound takes to be non-negative, as in a lazy chain.  One below
+    -1e-10 skips the comparison; one above it but below 0 is round-off of a
+    zero eigenvalue and is reported as 0.
+    """
     try:
         spectrum = exact_spectrum(chain)
     except ValueError as exc:
         return None, None, f"exact oracle unavailable: {exc}"
     lam_star = max(abs(spectrum[1]), abs(spectrum[-1])) if nonlazy else float(spectrum[1])
+    if lam_star < -1e-10:
+        return None, None, (
+            f"second eigenvalue {lam_star} is negative, but the fresh-path bound "
+            "assumes a lazy chain: use --nonlazy"
+        )
+    lam_star = max(lam_star, 0.0)
     t_r = relaxation_upper_bound(min(lam_star, 1.0)) if lam_star < 1.0 else math.inf
     return float(lam_star), float(t_r), None
 

@@ -22,19 +22,25 @@ and counter for every path instead of building a generator per path.  The
 ``TransitionOracle.next_state`` is therefore valid only while that path
 runs and must not be kept.
 
-Every fixed-size block of paths, scalar or vectorized, gives ``(paths,
-counts, failure)``; one loop adds the blocks into one accumulator in block
-order and raises ``CollectionError`` at the first failure.
+Block protocol.  Paths run in fixed-size blocks, and a block is a
+generator of ``(paths, counts)`` pairs that raises the simulator's
+failure.  A vectorized block yields all its paths once or raises before
+yielding; a scalar block yields the paths it completed and then raises,
+so a failing path's block still hands over the paths before it.  One
+loop adds the pairs into one accumulator in block order, and its one
+``except`` turns a failure into the ``CollectionError``: the first path
+not yet added, ``partial.paths_completed``, names the failing block.
 With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
 the blocks are split into up to ``worker_count`` contiguous runs, each
 given to a forked child (below) that computes all its blocks and only
 then sends each block's K-vector down its pipe, so the children overlap
-however large their output; the parent reads the children in run order
-and adds the vectors in block order, so the counts are bit-identical at
-any worker count.  A block that fails ends its child's stream after the
-blocks before it.  A child that dies (a signal, a crash in native code)
-fails the first block of its run with its exit code, and the partial
-holds the blocks before that run.  Forking costs some 10-30 ms a call on
+however large their output; the parent reads the children in run order,
+pairs each vector with its block's size and adds them in block order, so
+the counts are bit-identical at any worker count.  A child sends the
+blocks before its first failure, then the failure.  A child that dies (a
+signal, a crash in native code) raises its exit code after the blocks it
+sent whole, so the partial holds the blocks before the first one it did
+not send.  Forking costs some 10-30 ms a call on
 a 2-vCPU VM, so a call of a few blocks can be slower than serial.  A
 stateful oracle's or sampler's state lives in each child: the caller's
 copy does not see their calls.  Scalar-only oracles run every block in
@@ -225,7 +231,7 @@ def _check_range(states, n, what):
 
 
 def _collect_block_vectorized(engine, weight, streams, start, stop):
-    """Paths ``start..stop-1`` as ``(stop - start, counts, None)``; raises what the simulator raises."""
+    """Yield ``(stop - start, counts)`` of paths ``start..stop-1`` once; raises what the simulator raises."""
     K, n = engine.config.max_path_length, engine.config.state_space_size
     ups = engine.oracle.uniforms_per_step
     x0 = np.empty(stop - start, dtype=np.int64)
@@ -247,20 +253,14 @@ def _collect_block_vectorized(engine, weight, streams, start, stop):
             )
         counts[k] = np.count_nonzero(xs == x0) if weights is None else weights @ (xs == x0)
     _check_range(xs, n, "final state")
-    return stop - start, counts, None
+    yield stop - start, counts
 
 
 def _block_counts(collect_block, engine, weight, blocks):
-    """Yield ``(paths, counts, failure)`` of each of ``blocks`` up to and including the first failure."""
+    """Yield ``(paths, counts)`` of each of ``blocks`` in order; the first failure raises."""
     streams = _PathStreams(engine.master_seed)
     for start, stop in blocks:
-        try:
-            result = collect_block(engine, weight, streams, start, stop)
-        except Exception as exc:
-            result = 0, 0, exc
-        yield result
-        if result[2] is not None:
-            return
+        yield from collect_block(engine, weight, streams, start, stop)
 
 
 def _fork_context():
@@ -353,33 +353,23 @@ def _read_into(pipe, buf, child, died):
 
 
 def _block_stream(collect_block, engine, weight, blocks) -> Iterator[np.ndarray]:
-    """In a child: the counts of each of ``blocks``, all paths of a block or none; a failure raises.
+    """In a child: the counts of each of the vectorized ``blocks`` before the first failure, which then raises.
 
     The whole run is computed before its first counts are yielded.  The
     parent reads the children one after another, so a child that wrote as
     it went would stop computing once its pipe filled, until the parent had
     read every earlier child to its end.
     """
-    results = list(_block_counts(collect_block, engine, weight, blocks))
-    for _, counts, failure in results:
-        if failure is not None:
-            raise failure
-        yield counts
-
-
-def _as_blocks(arrays, blocks):
-    """``_block_counts``' triples of ``blocks`` from the counts that ``arrays`` yields before it raises."""
+    computed = []
     try:
-        for (start, stop), counts in zip(blocks, arrays):
-            yield stop - start, counts, None
-    except Exception as exc:
-        yield 0, 0, exc
-    finally:
-        arrays.close()
+        for _, counts in _block_counts(collect_block, engine, weight, blocks):
+            computed.append(counts)
+    finally:  # a failure propagates once the counts before it are yielded
+        yield from computed
 
 
 def _collect_block_scalar(engine, weight, streams, start, stop):
-    """``(paths, counts, failure)`` of the paths of ``start..stop-1`` completed before any failure."""
+    """Yield ``(paths, counts)`` of the paths of ``start..stop-1`` completed before any failure, then raise it."""
     next_state, sample = engine.oracle.next_state, engine.initial.sample
     K, n = engine.config.max_path_length, engine.config.state_space_size
     returns = np.empty(K, dtype=bool)
@@ -396,10 +386,11 @@ def _collect_block_scalar(engine, weight, streams, start, stop):
                 returns[k] = x == x0
             if not 0 <= operator.index(x) < n:
                 raise ValueError(f"final state {x} outside [0, {n})")
-        except Exception as exc:
-            return j - start, counts, exc  # path j is torn, so counts[k] <= paths holds
+        except Exception:
+            yield j - start, counts  # path j is torn, so counts[k] <= paths holds
+            raise
         counts += returns if w is None else returns * w
-    return stop - start, counts, None
+    yield stop - start, counts
 
 
 def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulator:
@@ -408,12 +399,15 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     The oracle's kind, read once, picks the block function, and one worker
     for a scalar-only oracle.  The start law decides the counting (see the
     module docstring); a start whose pmf is zero or below ``min_pmf`` (a
-    weight above 1) fails its path like a raising simulator.  A failure
-    raises one ``CollectionError`` naming the block, whose ``partial`` holds
-    a scalar block's completed paths (``paths_completed`` is the failing
-    path's index), a vectorized block's all or none, and no later block; a
-    child that dies fails the first block it did not send whole.  Forked
-    children are gone when this returns or raises.
+    weight above 1) fails its path like a raising simulator.  The blocks
+    come from ``_block_counts`` when serial, or from the children's stream
+    paired with the block sizes when forked; either raises the first
+    failure, after the paths before it (see the module docstring).  The
+    one ``except`` raises ``CollectionError`` naming the block that holds
+    ``acc.paths_completed``, the first path not added, with ``acc`` as the
+    partial: a scalar block's completed paths (``paths_completed`` is the
+    failing path's index), a vectorized block's all or none, and no later
+    block.  Forked children are gone when this returns or raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
     min_pmf = initial.min_pmf()
@@ -439,23 +433,24 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
         collect_block, workers = _collect_block_vectorized, min(engine.worker_count, len(blocks))
     fork = _fork_context() if workers > 1 else None
     if fork is None:
-        results = _block_counts(collect_block, engine, weight, blocks)
+        stream = results = _block_counts(collect_block, engine, weight, blocks)
     else:
-        size, extra = divmod(len(blocks), workers)  # the first `extra` runs take one block more
-        ends = [i * size + min(i, extra) for i in range(workers + 1)]
-        jobs = [(collect_block, engine, weight, blocks[a:b]) for a, b in zip(ends, ends[1:])]
+        runs = np.array_split(blocks, workers)  # contiguous, the first len(blocks) % workers a block longer
+        jobs = [(collect_block, engine, weight, run.tolist()) for run in runs]
         died = "collection process exited with code {} before sending its counts"
-        results = _as_blocks(_in_children(fork, _block_stream, jobs, acc.counts.dtype, died), blocks)
+        stream = _in_children(fork, _block_stream, jobs, acc.counts.dtype, died)
+        results = zip((stop - start for start, stop in blocks), stream)
     try:
-        for (start, stop), (paths, counts, failure) in zip(blocks, results):
+        for paths, counts in results:
             acc.counts += counts
             acc.paths_completed += paths
-            if failure is not None:
-                raise CollectionError(
-                    f"simulator failed in block of paths {start}..{stop - 1}: {failure}", partial=acc
-                ) from failure
+    except Exception as exc:
+        start, stop = blocks[acc.paths_completed // BLOCK_SIZE]  # the block of the first path not added
+        raise CollectionError(
+            f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=acc
+        ) from exc
     finally:
-        results.close()  # stops the children
+        stream.close()  # stops the children
     return acc
 
 
@@ -612,16 +607,25 @@ class _SourceStateError(ValueError):
 
 
 def _int64_chunks(source) -> Iterator[np.ndarray]:
-    """The source's states as int64 arrays: its own chunks, or ``CHUNK`` at a time."""
+    """The source's states as int64 arrays: its own chunks, or ``CHUNK`` at a time.
+
+    An iterable's states pass through ``operator.index``, so a state that is
+    not an integer raises ``TypeError`` naming its source index.
+    """
     chunks = getattr(source, "chunks", None)
     if chunks is not None:
         yield from chunks()
         return
     it = iter(source)
-    while True:
-        chunk = np.fromiter(itertools.islice(it, CHUNK), np.int64)
-        if not chunk.size:
+    for offset in itertools.count(0, CHUNK):
+        states = list(itertools.islice(it, CHUNK))
+        if not states:
             return
+        try:
+            chunk = np.fromiter(map(operator.index, states), np.int64, len(states))
+        except TypeError as exc:
+            i = next(i for i, x in enumerate(states) if not hasattr(type(x), "__index__"))
+            raise TypeError(f"source state {states[i]!r} at index {offset + i} is not an integer") from exc
         yield chunk
 
 
@@ -631,6 +635,8 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     ``num_segments`` must be an integer (``TypeError`` otherwise), as must
     the engine's ``segment_length``: a count the emitted segments never
     equal would read the whole source, and never end over an endless one.
+    An iterable source's states must be integers, numpy integers included;
+    a float (even 2.0) raises ``TypeError`` naming its source index.
 
     A segment begins at the first time t strictly after the previous
     segment's end at which the trajectory hits an independently drawn
@@ -739,9 +745,17 @@ def trajectory_from_oracle(
 ) -> Iterator[int]:
     """Stream a single trajectory X_0 = start_state, X_1, ... of ``max_steps`` states (None: endless).
 
-    ``master_seed`` and ``max_steps`` are checked when this is called, not
-    when the first state is read, as ``TraceFile`` checks ``max_steps``.
+    The arguments are checked when this is called, not when the first state
+    is read, as ``TraceFile`` checks ``max_steps``.  ``start_state``,
+    ``master_seed`` and ``max_steps`` (unless None) must be integers
+    (``TypeError`` otherwise); ``start_state`` must lie in
+    [0, ``oracle.state_space_size()``) and ``max_steps`` be at least 0
+    (``ValueError`` otherwise).
     """
+    _require_integer("start_state", start_state)
+    n = oracle.state_space_size()
+    if not 0 <= start_state < n:
+        raise ValueError(f"start_state {start_state} outside [0, {n})")
     _require_integer("master_seed", master_seed)
     _check_max_steps(max_steps)
     return _trajectory(oracle, start_state, path_rng(master_seed, TRAJECTORY_STREAM_KEY), max_steps)

@@ -131,6 +131,64 @@ def test_run_non_reversible_matrix_skips_exact(tmp_path, capsys):
     assert f"exact comparison skipped: {doc['exact_skipped_reason']}" in out.splitlines()
 
 
+FLIP = [[0.0, 1.0], [1.0, 0.0]]
+WALK3 = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+NEGATIVE_LAMBDA2 = pytest.mark.parametrize(
+    "matrix, lambda2, nonlazy_lambda_star", [(FLIP, -1.0, 1.0), (WALK3, -0.5, 0.5)], ids=["flip", "walk3"]
+)
+
+
+@NEGATIVE_LAMBDA2
+def test_run_negative_second_eigenvalue_skips_exact_without_nonlazy(
+    tmp_path, capsys, matrix, lambda2, nonlazy_lambda_star
+):
+    # relaxation_upper_bound used to raise on the negative eigenvalue: exit 1 and a traceback.
+    path = tmp_path / "chain.txt"
+    save_matrix_chain(DenseMatrixChain(matrix), path)
+    argv = ["run", "--chain", "matrix", "--matrix-file", str(path), "--n", "20000", "--no-timing"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] is None
+    reason = doc["exact_skipped_reason"]
+    assert reason.startswith("second eigenvalue ") and reason.endswith("use --nonlazy")
+    assert float(reason.split()[2]) == pytest.approx(lambda2, abs=1e-12)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert f"exact comparison skipped: {reason}" in out.splitlines()
+    code, out, _ = run_cli(capsys, argv + ["--format", "json", "--nonlazy"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact_skipped_reason"] is None
+    assert doc["exact"]["lambda_star"] == pytest.approx(nonlazy_lambda_star, abs=1e-10)
+
+
+@NEGATIVE_LAMBDA2
+def test_coverage_negative_second_eigenvalue_needs_nonlazy(
+    tmp_path, capsys, matrix, lambda2, nonlazy_lambda_star
+):
+    path = tmp_path / "chain.txt"
+    save_matrix_chain(DenseMatrixChain(matrix), path)
+    argv = ["coverage", "--chain", "matrix", "--matrix-file", str(path), "--n", "2000",
+            "--trials", "200", "--seed", "3", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: coverage study needs an enumerable chain (second eigenvalue -")
+    code, out, _ = run_cli(capsys, argv + ["--nonlazy"])
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_zero_second_eigenvalue_is_not_skipped_for_its_round_off():
+    # The eigensolver returns the zero eigenvalue of a rank-one chain as about
+    # +-1e-17; a negative round-off used to crash relaxation_upper_bound.
+    for p in np.linspace(0.1, 0.9, 9):
+        lam_star, t_r, skip = cli._exact_values(DenseMatrixChain([[p, 1 - p], [p, 1 - p]]), nonlazy=False)
+        assert skip is None
+        assert 0.0 <= lam_star <= 1e-12
+        assert t_r == pytest.approx(1.0)
+
+
 def test_run_usp_model(capsys):
     code, out, _ = run_cli(
         capsys,

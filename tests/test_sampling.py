@@ -3,6 +3,7 @@ import faulthandler
 import math
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import time
@@ -341,19 +342,28 @@ class FailsAfterCalls(CountingOracle):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scalar_failure_names_its_block_and_keeps_its_completed_paths(workers):
+@pytest.mark.parametrize(
+    "failing, block",
+    [(1500, "1024..2047"), (2500, "2048..2999"), (0, "0..1023")],
+    ids=["second-block", "short-last-block", "first-path"],
+)
+def test_scalar_failure_names_its_block_and_keeps_its_completed_paths(workers, failing, block):
+    # The block is named from the partial's paths_completed, the first path not added.
     chain, K = BiasedLineChain(20, 0.7), 5
-    oracle = FailsAfterCalls(chain, limit=1500 * K)  # dies on path 1500 of 3000, in the second block
+    oracle = FailsAfterCalls(chain, limit=failing * K)  # dies on path `failing` of 3000
     engine = RtfEngine(oracle, UniformSampler(20), UcpiConfig(20, 3000, K, 0.1), 5, workers)
     with pytest.raises(CollectionError) as exc_info:
         rtf_collect(engine)
     assert str(exc_info.value) == (
-        "simulator failed in block of paths 1024..2047: transition backend went away"
+        f"simulator failed in block of paths {block}: transition backend went away"
     )
     partial = exc_info.value.partial
-    assert partial.paths_completed == BLOCK_SIZE + 476  # the first block, then 476 of the second
-    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 1500, K, 0.1), 5))
-    assert np.array_equal(partial.counts, clean.counts)
+    assert partial.paths_completed == failing  # the blocks before, then the paths of its own before it
+    if failing:
+        clean = rtf_collect(make_engine(chain, UcpiConfig(20, failing, K, 0.1), 5))
+        assert np.array_equal(partial.counts, clean.counts)
+    else:
+        assert not partial.counts.any()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -871,6 +881,38 @@ def test_usp_source_state_outside_the_targets_names_its_index(tmp_path, source, 
         usp_collect(UspEngine(states, 3, UniformSampler(5), 1), segments)
 
 
+@pytest.mark.parametrize(
+    "source, bad, where",
+    [
+        ("list", 2.5, 1500),
+        ("list", 2.0, 0),
+        ("float-array", 1.0, 0),
+        ("generator", 2.5, 4999),
+    ],
+)
+def test_usp_source_state_that_is_not_an_integer_names_its_index(source, bad, where):
+    # np.fromiter(..., np.int64) used to truncate 2.5 to 2 and extract segments from it.
+    states = np.random.default_rng(3).integers(0, 5, 5000).tolist()
+    states[where] = bad
+    if source == "float-array":
+        states = np.array(states, dtype=float)
+        bad = states[where]  # shown as numpy shows it
+    elif source == "generator":
+        states = (x for x in states)
+    message = rf"^source state {re.escape(repr(bad))} at index {where} is not an integer$"
+    with pytest.raises(TypeError, match=message):
+        usp_collect(UspEngine(states, 3, UniformSampler(5), 1), 10_000)
+
+
+def test_usp_source_accepts_numpy_integers():
+    states = np.random.default_rng(3).integers(0, 5, 5000)
+    expected = usp_collect(UspEngine(states.tolist(), 3, UniformSampler(5), 1), 100)
+    for source in (states, list(states), states.astype(np.uint8)):
+        got = usp_collect(UspEngine(source, 3, UniformSampler(5), 1), 100)
+        assert got.paths_completed == expected.paths_completed
+        assert np.array_equal(got.counts, expected.counts)
+
+
 def test_usp_targets_need_a_positive_min_pmf():
     with pytest.raises(ValueError, match="target min_pmf 0.0 is not positive"):
         usp_collect(UspEngine([0, 1, 0], 1, FixedTargets([0], size=math.inf), 1), 1)
@@ -923,6 +965,31 @@ def test_trajectory_from_oracle_checks_max_steps_when_called(max_steps, error, m
 def test_trajectory_from_oracle_checks_master_seed_when_called():
     with pytest.raises(TypeError, match="^master_seed must be an integer, not 2.5$"):
         trajectory_from_oracle(TWO_STATE, 0, 2.5)  # never iterated
+
+
+@pytest.mark.parametrize(
+    "start, error, message",
+    [
+        (2.5, TypeError, "^start_state must be an integer, not 2.5$"),
+        (True, TypeError, "^start_state must be an integer, not True$"),
+        (25, ValueError, r"^start_state 25 outside \[0, 20\)$"),
+        (20, ValueError, r"^start_state 20 outside \[0, 20\)$"),
+        (-1, ValueError, r"^start_state -1 outside \[0, 20\)$"),
+    ],
+)
+def test_trajectory_from_oracle_checks_start_state_when_called(start, error, message):
+    # 25 on a 20-state line used to be yielded as a state, and 2.5 yielded floats.
+    oracle = CountingOracle(BiasedLineChain(20, 0.5))
+    with pytest.raises(error, match=message):
+        trajectory_from_oracle(oracle, start, 1, 5000)  # never iterated
+    assert oracle.calls == 0
+
+
+def test_trajectory_from_oracle_accepts_numpy_start_states():
+    chain = BiasedLineChain(20, 0.5)
+    expected = list(trajectory_from_oracle(chain, 19, 1, 50))
+    assert list(trajectory_from_oracle(chain, np.int64(19), 1, 50)) == expected
+    assert list(trajectory_from_oracle(chain, np.uint8(19), 1, 50)) == expected
 
 
 def test_trajectory_from_oracle_accepts_numpy_max_steps():
