@@ -341,13 +341,7 @@ class FailsAfterCalls(CountingOracle):
         return super().next_state(x, rng)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "failing, block",
-    [(1500, "1024..2047"), (2500, "2048..2999"), (0, "0..1023")],
-    ids=["second-block", "short-last-block", "first-path"],
-)
-def test_scalar_failure_names_its_block_and_keeps_its_completed_paths(workers, failing, block):
+def check_scalar_failure(workers, failing, block):
     # The block is named from the partial's paths_completed, the first path not added.
     chain, K = BiasedLineChain(20, 0.7), 5
     oracle = FailsAfterCalls(chain, limit=failing * K)  # dies on path `failing` of 3000
@@ -364,6 +358,19 @@ def test_scalar_failure_names_its_block_and_keeps_its_completed_paths(workers, f
         assert np.array_equal(partial.counts, clean.counts)
     else:
         assert not partial.counts.any()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scalar_failure_names_its_block_and_keeps_its_completed_paths(workers):
+    check_scalar_failure(workers, BLOCK_SIZE + 476, "1024..2047")  # path 1500, in the second block
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "failing, block", [(2500, "2048..2999"), (0, "0..1023")], ids=["short-last-block", "first-path"]
+)
+def test_scalar_failure_in_last_or_first_block_names_it(workers, failing, block):
+    check_scalar_failure(workers, failing, block)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
