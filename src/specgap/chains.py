@@ -78,9 +78,7 @@ class UniformSampler:
     size: int
 
     def __post_init__(self):
-        _require_integer("size", self.size)
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
+        _require_integer("size", self.size, 1)
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.size))
@@ -146,8 +144,7 @@ class BiasedLineChain:
     uniforms_per_step = 1
 
     def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("size must be >= 2")
+        _require_integer("size", self.size, 2)
         if not 0.0 < self.bias < 1.0:
             raise ValueError("bias must lie strictly between 0 and 1")
 
@@ -333,8 +330,7 @@ def line_stationary(size: int, p: float) -> np.ndarray:
 
     Proportional to ((1-p)/p)^x for x = 0..size-1; uniform at p = 1/2.
     """
-    if size < 2:
-        raise ValueError("size must be >= 2")
+    _require_integer("size", size, 2)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     if p == 0.5:
@@ -377,8 +373,7 @@ def exact_spectrum(chain) -> np.ndarray:
 
 def return_probability_curve(chain, max_k: int) -> np.ndarray:
     """Exact k-step return probabilities m_k = tr(P^k)/|S| for k = 1..max_k."""
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
+    _require_integer("max_k", max_k, 1)
     P = chain.transition_matrix()
     n = len(P)
     _check_desk_scale(n)

@@ -247,12 +247,18 @@ def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
     )
 
 
-def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> ExperimentReport:
-    """Run `spec.trials` independent seeded estimations and assemble the report."""
+def _set_up(spec: ExperimentSpec):
+    """Check the spec's options and build what its trials share.
+
+    Returns the report without trials, which holds the config and the exact
+    values, with the chain and the start sampler the trials use.
+    """
     if spec.model not in ("rtf", "usp"):
         raise ConfigError(f"unknown model {spec.model!r}")
     if spec.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    if spec.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if spec.model == "usp" and (spec.nonlazy or spec.mu_file):
         raise ConfigError("--nonlazy and --mu-file require the fresh-path model (rtf)")
     if spec.usp_path is not None and spec.model != "usp":
@@ -265,21 +271,31 @@ def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> Experiment
     mu_file = spec.mu_file
     sampler = UniformSampler(n_states) if mu_file is None else _load_mu_sampler(mu_file, n_states)
     lam_star, t_r, skip = _exact_values(chain, spec.nonlazy)
-
-    started = time.perf_counter()
-    trials = [_run_trial(spec, chain, cfg, sampler, i) for i in range(spec.trials)]
-    elapsed = time.perf_counter() - started
-
-    return ExperimentReport(
+    report = ExperimentReport(
         spec=spec,
         config=cfg,
         guaranteed=validity_check(cfg),
         exact_lambda_star=lam_star,
         exact_relaxation=t_r,
         exact_skipped_reason=skip,
-        trials=trials,
-        wall_time_seconds=elapsed if with_timing else None,
+        trials=[],
+        wall_time_seconds=None,
     )
+    return report, chain, sampler
+
+
+def _with_trials(report: ExperimentReport, chain, sampler, with_timing: bool) -> ExperimentReport:
+    """The set-up report with the spec's trials run."""
+    spec = report.spec
+    started = time.perf_counter()
+    trials = [_run_trial(spec, chain, report.config, sampler, i) for i in range(spec.trials)]
+    elapsed = time.perf_counter() - started
+    return dataclasses.replace(report, trials=trials, wall_time_seconds=elapsed if with_timing else None)
+
+
+def run_experiment(spec: ExperimentSpec, with_timing: bool = True) -> ExperimentReport:
+    """Run `spec.trials` independent seeded estimations and assemble the report."""
+    return _with_trials(*_set_up(spec), with_timing)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +456,10 @@ def coverage_study(spec: ExperimentSpec, with_timing: bool = True):
     """
     if spec.trials < 200:
         raise ConfigError("coverage studies need --trials >= 200")
-    report = run_experiment(spec, with_timing=with_timing)
+    report, chain, sampler = _set_up(spec)
     if report.exact_lambda_star is None:
-        raise ConfigError(
-            f"coverage study needs an enumerable chain ({report.exact_skipped_reason})"
-        )
+        raise ConfigError(f"coverage study needs the chain's exact eigenvalue: {report.exact_skipped_reason}")
+    report = _with_trials(report, chain, sampler, with_timing)
     violations = sum(t.ell_star < report.exact_lambda_star for t in report.trials)
     low, high = wilson_interval(violations, len(report.trials))
     passed = low <= report.config.confidence

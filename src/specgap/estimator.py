@@ -46,10 +46,16 @@ __all__ = [
 CB_TOLERANCE = 1e-12
 
 
-def _require_integer(name, value):
-    """Raise TypeError unless ``value`` is an int or a numpy integer (a bool is not)."""
+def _require_integer(name, value, least=None):
+    """The one check of a count: an int or a numpy integer (a bool is not), at least ``least``.
+
+    Raises ``TypeError`` for a value that is not an integer, then
+    ``ValueError`` for one below ``least`` (None: no minimum).
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,9 @@ class UcpiConfig:
     confidence: float
 
     def __post_init__(self):
-        for name in ("state_space_size", "num_paths", "max_path_length"):
-            _require_integer(name, getattr(self, name))
-        if self.state_space_size < 2:
-            raise ValueError("state_space_size must be >= 2")
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be >= 1")
-        if self.max_path_length < 1:
-            raise ValueError("max_path_length must be >= 1")
+        _require_integer("state_space_size", self.state_space_size, 2)
+        _require_integer("num_paths", self.num_paths, 1)
+        _require_integer("max_path_length", self.max_path_length, 1)
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly between 0 and 1")
 
@@ -89,8 +90,7 @@ class ReturnCountAccumulator:
 
     @classmethod
     def empty(cls, max_path_length: int) -> "ReturnCountAccumulator":
-        if max_path_length < 1:
-            raise ValueError("max_path_length must be >= 1")
+        _require_integer("max_path_length", max_path_length, 1)
         return cls(counts=np.zeros(max_path_length, dtype=np.int64))
 
     @property
@@ -117,8 +117,7 @@ class WeightedReturnAccumulator(ReturnCountAccumulator):
 
     @classmethod
     def empty(cls, max_path_length: int, w_max: float) -> "WeightedReturnAccumulator":
-        if max_path_length < 1:
-            raise ValueError("max_path_length must be >= 1")
+        _require_integer("max_path_length", max_path_length, 1)
         if w_max < 1.0:
             raise ValueError("w_max = 1/min_pmf must be >= 1")
         return cls(np.zeros(max_path_length), w_max)
@@ -295,9 +294,7 @@ def config_for_budget(n: int, state_space_size: int) -> UcpiConfig:
     delta = 1/sqrt(n), K = ceil((ln n)^2), I = floor(n/K); the total number
     of transitions I*K never exceeds n, and I >= 1 because (ln n)^2 < n.
     """
-    _require_integer("budget n", n)
-    if n < 16:
-        raise ValueError("budget n must be >= 16")
+    _require_integer("budget n", n, 16)
     max_path_length = math.ceil(math.log(n) ** 2)
     return UcpiConfig(state_space_size, n // max_path_length, max_path_length, n**-0.5)
 

@@ -218,9 +218,7 @@ class RtfEngine:
 
     def __post_init__(self):
         _require_integer("master_seed", self.master_seed)
-        _require_integer("worker_count", self.worker_count)
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
+        _require_integer("worker_count", self.worker_count, 1)
 
 
 def _check_range(states, n, what):
@@ -584,9 +582,7 @@ class UspEngine:
 
     def __post_init__(self):
         _require_integer("master_seed", self.master_seed)
-        _require_integer("segment_length", self.segment_length)
-        if self.segment_length < 1:
-            raise ValueError("segment_length must be >= 1")
+        _require_integer("segment_length", self.segment_length, 1)
         if not isinstance(self.source, _OneShotSource) and iter(self.source) is self.source:
             self.source = _OneShotSource(self.source)
 
@@ -610,7 +606,8 @@ def _int64_chunks(source) -> Iterator[np.ndarray]:
     """The source's states as int64 arrays: its own chunks, or ``CHUNK`` at a time.
 
     An iterable's states pass through ``operator.index``, so a state that is
-    not an integer raises ``TypeError`` naming its source index.
+    not an integer raises ``TypeError`` naming its source index, and an
+    integer outside int64 raises ``_SourceStateError`` naming it.
     """
     chunks = getattr(source, "chunks", None)
     if chunks is not None:
@@ -623,20 +620,28 @@ def _int64_chunks(source) -> Iterator[np.ndarray]:
             return
         try:
             chunk = np.fromiter(map(operator.index, states), np.int64, len(states))
-        except TypeError as exc:
-            i = next(i for i, x in enumerate(states) if not hasattr(type(x), "__index__"))
-            raise TypeError(f"source state {states[i]!r} at index {offset + i} is not an integer") from exc
+        except (TypeError, OverflowError) as exc:
+            for i, x in enumerate(states, offset):
+                if not hasattr(type(x), "__index__"):
+                    raise TypeError(f"source state {x!r} at index {i} is not an integer") from exc
+                x = operator.index(x)
+                if not -_INT64_MAX - 1 <= x <= _INT64_MAX:
+                    raise _SourceStateError(f"source state {x} at index {i} does not fit in int64") from exc
+            raise
         yield chunk
 
 
 def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     """Extract up to ``num_segments`` uniformly-started segments, counting returns.
 
-    ``num_segments`` must be an integer (``TypeError`` otherwise), as must
-    the engine's ``segment_length``: a count the emitted segments never
-    equal would read the whole source, and never end over an endless one.
-    An iterable source's states must be integers, numpy integers included;
-    a float (even 2.0) raises ``TypeError`` naming its source index.
+    ``num_segments`` must be an integer (``TypeError`` otherwise) of at
+    least 1 (``ValueError`` otherwise), as must the engine's
+    ``segment_length``: a count the emitted segments never equal would
+    read the whole source, and never end over an endless one.
+    An iterable source's states must be integers that fit in int64, numpy
+    integers included; a float (even 2.0) raises ``TypeError`` and an
+    integer outside int64 raises ``ValueError``, each naming its source
+    index.
 
     A segment begins at the first time t strictly after the previous
     segment's end at which the trajectory hits an independently drawn
@@ -660,9 +665,7 @@ def usp_collect(engine: UspEngine, num_segments: int) -> ReturnCountAccumulator:
     ``stats.source_steps_consumed`` counts the states up to the last one
     used, not those read ahead.
     """
-    _require_integer("num_segments", num_segments)
-    if num_segments < 1:
-        raise ValueError("num_segments must be >= 1")
+    _require_integer("num_segments", num_segments, 1)
     one_shot = engine.source if isinstance(engine.source, _OneShotSource) else None
     if one_shot is not None and one_shot.read:
         raise ValueError("source is a one-shot iterator that an earlier usp_collect call read")
@@ -757,7 +760,8 @@ def trajectory_from_oracle(
     if not 0 <= start_state < n:
         raise ValueError(f"start_state {start_state} outside [0, {n})")
     _require_integer("master_seed", master_seed)
-    _check_max_steps(max_steps)
+    if max_steps is not None:
+        _require_integer("max_steps", max_steps, 0)
     return _trajectory(oracle, start_state, path_rng(master_seed, TRAJECTORY_STREAM_KEY), max_steps)
 
 
@@ -768,14 +772,6 @@ def _trajectory(oracle, x, rng, max_steps) -> Iterator[int]:
     for _ in itertools.count() if max_steps is None else range(max_steps - 1):
         x = oracle.next_state(x, rng)
         yield x
-
-
-def _check_max_steps(max_steps):
-    """Raise unless ``max_steps`` is None or an integer of at least 0."""
-    if max_steps is not None:
-        _require_integer("max_steps", max_steps)
-        if max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
 
 
 class TraceFile:
@@ -806,7 +802,8 @@ class TraceFile:
     """
 
     def __init__(self, path, max_steps: int | None = None):
-        _check_max_steps(max_steps)
+        if max_steps is not None:
+            _require_integer("max_steps", max_steps, 0)
         self.path = path
         self.max_steps = max_steps
 

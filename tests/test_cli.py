@@ -173,10 +173,36 @@ def test_coverage_negative_second_eigenvalue_needs_nonlazy(
             "--trials", "200", "--seed", "3", "--no-timing"]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
-    assert err.startswith("configuration error: coverage study needs an enumerable chain (second eigenvalue -")
+    assert err.startswith("configuration error: coverage study needs the chain's exact eigenvalue: second eigenvalue -")
     code, out, _ = run_cli(capsys, argv + ["--nonlazy"])
     assert code == 0
     assert "PASS" in out
+
+
+CYCLE = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]  # not reversible
+
+
+@pytest.mark.parametrize(
+    "matrix, reason",
+    [(FLIP, "second eigenvalue -1.0 is negative"), (CYCLE, "exact oracle unavailable: chain is not reversible")],
+    ids=["flip", "cycle"],
+)
+def test_coverage_refuses_a_chain_without_an_exact_value_before_any_trial(
+    tmp_path, capsys, monkeypatch, matrix, reason
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the exact value was checked")
+
+    monkeypatch.setattr(cli, "_run_trial", must_not_run)
+    path = tmp_path / "chain.txt"
+    save_matrix_chain(DenseMatrixChain(matrix), path)
+    spec = ExperimentSpec(chain="matrix", matrix_file=str(path), n=100_000, trials=200)
+    with pytest.raises(cli.ConfigError, match=f"^coverage study needs the chain's exact eigenvalue: {reason}"):
+        coverage_study(spec)
+    argv = ["coverage", "--chain", "matrix", "--matrix-file", str(path), "--n", "100000", "--trials", "200"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"configuration error: coverage study needs the chain's exact eigenvalue: {reason}")
 
 
 def test_zero_second_eigenvalue_is_not_skipped_for_its_round_off():
@@ -263,6 +289,9 @@ def test_run_mu_file(tmp_path, capsys):
         ["run", "--chain", "line", "--size", "1", "--n", "20000"],
         ["run", "--chain", "line", "--n", "20000", "--I", "0"],  # overrides fail in resolve_config
         ["run", "--chain", "line", "--n", "20000", "--delta", "1.5"],
+        ["run", "--chain", "line", "--n", "20000", "--seed", "-1"],
+        ["coverage", "--chain", "line", "--n", "20000", "--trials", "200", "--seed", "-1"],
+        ["tables", "--max-n", "10000", "--trials", "1", "--seed", "-1"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -271,6 +300,8 @@ def test_config_errors_exit_two(capsys, argv):
     assert "configuration error" in err
     if "--nonlazy" in argv:
         assert "--nonlazy" in err
+    if "--seed" in argv:
+        assert "--seed must be >= 0" in err
 
 
 @pytest.mark.parametrize(
@@ -465,6 +496,19 @@ def test_infinite_relaxation_serializes(capsys):
     doc = json.loads(out)
     assert doc["trials"][0]["ell_star"] == 1.0
     assert doc["trials"][0]["t_r_upper"] == "inf"
+
+
+def test_usp_run_without_a_segment_is_uninformative(capsys):
+    # At seed 0 the trajectory's 16 states complete no segment of K = 8.
+    argv = ["run", "--chain", "line", "--model", "usp", "--n", "16", "--no-timing"]
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    trial = json.loads(out)["trials"][0]
+    assert (trial["segments"], trial["ell_star"], trial["argmin_k"]) == (0, 1.0, 0)
+    assert (trial["t_r_upper"], trial["mean_wait"]) == ("inf", "nan")
+    code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"0,0,1.0,inf,False,16,{cli._trial_master_seed(0, 0)}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgap.chains import BiasedLineChain, UniformSampler, line_stationary, return_probability_curve
 from specgap.estimator import (
     CB_TOLERANCE,
     ReturnCountAccumulator,
@@ -19,6 +21,7 @@ from specgap.estimator import (
     theory_diagnostics,
     validity_check,
 )
+from specgap.sampling import RtfEngine, TraceFile, UspEngine, trajectory_from_oracle, usp_collect
 
 
 def cb_bisection_oracle(m, num_paths, confidence, iters=200):
@@ -520,3 +523,51 @@ def test_diagnostics_input_validation():
         theory_diagnostics([1.0, 0.5, -0.3], cfg)  # outside [0, 1]
     with pytest.raises(ValueError):
         theory_diagnostics([1.0, 0.5], cfg)  # wrong length
+
+
+# ---------------------------------------------------------------------------
+# counts: one integer rule at every door
+# ---------------------------------------------------------------------------
+
+
+LINE3 = BiasedLineChain(3, 0.5)
+
+# Every size, count and step limit that takes an integer: (name, least, build).
+COUNT_DOORS = [
+    pytest.param("state_space_size", 2, lambda v: UcpiConfig(v, 10, 10, 0.1), id="UcpiConfig.state_space_size"),
+    pytest.param("num_paths", 1, lambda v: UcpiConfig(10, v, 10, 0.1), id="UcpiConfig.num_paths"),
+    pytest.param("max_path_length", 1, lambda v: UcpiConfig(10, 10, v, 0.1), id="UcpiConfig.max_path_length"),
+    pytest.param("budget n", 16, lambda v: config_for_budget(v, 20), id="config_for_budget"),
+    pytest.param("size", 1, UniformSampler, id="UniformSampler"),
+    pytest.param(
+        "worker_count", 1, lambda v: RtfEngine(LINE3, UniformSampler(3), UcpiConfig(3, 10, 10, 0.1), 0, v),
+        id="RtfEngine",
+    ),
+    pytest.param("segment_length", 1, lambda v: UspEngine([0, 1], v, UniformSampler(2), 0), id="UspEngine"),
+    pytest.param(
+        "num_segments", 1, lambda v: usp_collect(UspEngine([0, 1], 1, UniformSampler(2), 0), v), id="usp_collect"
+    ),
+    pytest.param("max_steps", 0, lambda v: TraceFile("trace.txt", v), id="TraceFile"),
+    pytest.param("max_steps", 0, lambda v: trajectory_from_oracle(LINE3, 0, 0, v), id="trajectory_from_oracle"),
+    pytest.param("size", 2, lambda v: BiasedLineChain(v, 0.5), id="BiasedLineChain"),
+    pytest.param("size", 2, lambda v: line_stationary(v, 0.5), id="line_stationary"),
+    pytest.param("max_k", 1, lambda v: return_probability_curve(LINE3, v), id="return_probability_curve"),
+    pytest.param("max_path_length", 1, ReturnCountAccumulator.empty, id="ReturnCountAccumulator.empty"),
+    pytest.param(
+        "max_path_length", 1, lambda v: WeightedReturnAccumulator.empty(v, 2.0), id="WeightedReturnAccumulator.empty"
+    ),
+]
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+@pytest.mark.parametrize("name, least, build", COUNT_DOORS)
+def test_every_count_takes_an_integer_of_at_least_its_minimum(name, least, build, kind):
+    # BiasedLineChain(20.5, 0.5) used to build a chain of 20.5 states.
+    if kind == "below":
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+            build(least - 1)
+        return
+    value = least + 0.5 if kind == "float" else True
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not {re.escape(repr(value))}$"):
+        build(value)
+    build(np.int64(least) + 1)  # a numpy integer passes

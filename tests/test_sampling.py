@@ -911,6 +911,26 @@ def test_usp_source_state_that_is_not_an_integer_names_its_index(source, bad, wh
         usp_collect(UspEngine(states, 3, UniformSampler(5), 1), 10_000)
 
 
+@pytest.mark.parametrize(
+    "source, bad, where",
+    [
+        ("list", 2**63, 2),
+        ("list", -(2**63) - 1, 1500),
+        ("generator", 2**63, 4999),
+        ("uint64-array", 2**64 - 1, 0),
+    ],
+)
+def test_usp_source_state_outside_int64_names_its_index(source, bad, where):
+    states = np.random.default_rng(3).integers(0, 5, 5000).tolist()
+    states[where] = bad
+    if source == "uint64-array":
+        states = np.array(states, dtype=np.uint64)
+    elif source == "generator":
+        states = (x for x in states)
+    with pytest.raises(ValueError, match=rf"^source state {bad} at index {where} does not fit in int64$"):
+        usp_collect(UspEngine(states, 3, UniformSampler(5), 1), 10_000)
+
+
 def test_usp_source_accepts_numpy_integers():
     states = np.random.default_rng(3).integers(0, 5, 5000)
     expected = usp_collect(UspEngine(states.tolist(), 3, UniformSampler(5), 1), 100)
