@@ -31,21 +31,21 @@ loop adds the pairs into one accumulator in block order, and its one
 ``except`` turns a failure into the ``CollectionError``: the first path
 not yet added, ``partial.paths_completed``, names the failing block.
 With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
-the blocks are split into up to ``worker_count`` contiguous runs, each
-given to a forked child (below) that computes all its blocks and only
-then sends each block's K-vector down its pipe, so the children overlap
-however large their output; the parent reads the children in run order,
-pairs each vector with its block's size and adds them in block order, so
-the counts are bit-identical at any worker count.  A child sends the
-blocks before its first failure, then the failure.  A child that dies (a
-signal, a crash in native code) raises its exit code after the blocks it
-sent whole, so the partial holds the blocks before the first one it did
-not send.  Forking costs some 10-30 ms a call on
-a 2-vCPU VM, so a call of a few blocks can be slower than serial.  A
-stateful oracle's or sampler's state lives in each child: the caller's
-copy does not see their calls.  Scalar-only oracles run every block in
-the calling thread, because black-box simulators are often stateful and
-their callers may count their calls.
+the blocks are dealt in turn to up to ``worker_count`` forked children
+(below): of w children, child c computes blocks c, c + w, c + 2w, ... and
+sends each block's K-vector down its pipe as soon as it has it.  The
+parent reads one vector from each child in turn, which is block order,
+pairs each with its block's size and adds them, so the counts are
+bit-identical at any worker count.  A child sends the blocks before its
+first failure, then the failure; a child that dies (a signal, a crash in
+native code) raises its exit code at its turn.  Either way the partial
+holds every block before the first one the parent did not receive, a
+dead child's blocks sent before it died included.  Forking costs some
+10-30 ms a call on a 2-vCPU VM, so a call of a few blocks can be slower
+than serial.  A stateful oracle's or sampler's state lives in each child:
+the caller's copy does not see their calls.  Scalar-only oracles run
+every block in the calling thread, because black-box simulators are
+often stateful and their callers may count their calls.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -68,12 +68,22 @@ Forked children.  Both uses above run through one runner,
   followed by the items, then ``-1 - len(failure)`` and the pickled
   exception the job raised, if any (an empty failure when it ended
   cleanly); an exception that does not survive pickling is sent as a
-  ``RuntimeError`` naming its type.  It buffers ``_PIPE_BATCH`` bytes a
-  write.
-- Receive: the parent reads the children in job order, each array into a
-  buffer of exactly its size, then raises the child's failure.  A pipe
-  that ends before the end marker (a signal, ``os._exit``, a crash in
-  native code) raises ``RuntimeError`` naming the child's exit code.
+  ``RuntimeError`` naming its type.  A lone child buffers ``_PIPE_BATCH``
+  bytes a write.  Children that take turns flush each array through the
+  same buffered writer as soon as it is written, because the parent waits
+  for it before it reads the others, and so that a child that dies has
+  sent every array it wrote.
+- Receive: the parent reads one array from each child in turn, each into
+  a buffer of exactly its size, and ends at the first child whose stream
+  ends, raising that child's failure, if any; for one child this is
+  reading it to its end.  Jobs are therefore dealt so that once one has
+  no array left in a turn, no later one has either.  A pipe that ends
+  before the end marker (a signal, ``os._exit``, a crash in native code)
+  raises ``RuntimeError`` naming the child's exit code at that child's
+  turn.  A child never runs more than its pipe and write buffer ahead of
+  the parent, and holds only the array it is computing besides: O(K)
+  memory for a collection child and O(CHUNK) for the trace reader, plus
+  the pipe, however long the run.
 - Stop: every child is terminated, joined and closed, and every pipe
   closed, when the stream ends, is closed or fails, so no child outlives
   the call that started it.
@@ -144,8 +154,10 @@ FORK_READ_STATES = 2**18
 
 _INT64_MAX = 2**63 - 1
 
-#: Bytes a forked child buffers per write to its pipe: fewer, larger writes
-#: wake the reading parent less often than one write per array.
+#: Bytes a lone forked child buffers per write to its pipe: fewer, larger
+#: writes wake the reading parent less often than one write per array, which
+#: made the trace reader 25% slower over 2**21 states.  Children that take
+#: turns flush each array instead (see the module docstring).
 _PIPE_BATCH = 32768
 
 
@@ -204,8 +216,8 @@ class RtfEngine:
     """Fresh-path collection plan: I paths of length K from `initial` starts.
 
     ``worker_count``, an integer of at least 1, caps the child processes
-    forked to compute a vectorized oracle's blocks, one per contiguous run
-    of blocks, each with its own copy of the oracle and the sampler.  A
+    forked to compute a vectorized oracle's blocks, which they take in
+    turn, each with its own copy of the oracle and the sampler.  A
     scalar-only oracle runs in the calling thread at any count.  The
     module docstring describes the children and their cost.
     """
@@ -288,24 +300,26 @@ def _in_children(fork, produce, jobs, dtype, died) -> Iterator[np.ndarray]:
 
 
 def _child_stream(fork, produce, jobs, dtype, died):
-    """``_in_children``' generator: yields None once every child has started, then their arrays."""
-    children, pipes = [], []
+    """``_in_children``' generator: yields None once every child has started, then their arrays in turn."""
+    children, pipes, turns = [], [], len(jobs) > 1
     try:
         for job in jobs:
             r, w = os.pipe()
             pipes.append(open(r, "rb", buffering=0))
             with open(w, "wb", buffering=0):  # closed here, the child's copy alone keeps the pipe open
-                child = fork.Process(target=_send, args=(w, produce, job, dtype), daemon=True)  # inherited, not pickled
+                # The arguments are inherited, not pickled.
+                child = fork.Process(target=_send, args=(w, produce, job, dtype, turns), daemon=True)
                 child.start()
             children.append(child)
         yield
         count = np.empty(1, np.int64)
-        for child, pipe in zip(children, pipes):
-            while _read_into(pipe, count, child, died)[0] >= 0:
-                yield _read_into(pipe, np.empty(count[0], dtype), child, died)  # not held while the next is read
-            failure = _read_into(pipe, bytearray(-1 - int(count[0])), child, died)
-            if failure:
-                raise pickle.loads(failure)
+        for child, pipe in itertools.cycle(zip(children, pipes)):
+            if _read_into(pipe, count, child, died)[0] < 0:
+                break
+            yield _read_into(pipe, np.empty(count[0], dtype), child, died)  # not held while the next is read
+        failure = _read_into(pipe, bytearray(-1 - int(count[0])), child, died)
+        if failure:
+            raise pickle.loads(failure)
     finally:
         for child in children:
             child.terminate()
@@ -315,11 +329,12 @@ def _child_stream(fork, produce, jobs, dtype, died):
             pipe.close()
 
 
-def _send(w, produce, job, dtype):
+def _send(w, produce, job, dtype, turns):
     """In the child: write the ``dtype`` arrays of ``produce(*job)``, then its failure, to the pipe end ``w``.
 
     An array of another dtype fails the job with numpy's ``TypeError``
-    rather than reaching the parent as bytes it would misread.
+    rather than reaching the parent as bytes it would misread.  A child
+    that takes ``turns`` with others flushes each array as it writes it.
     """
     with open(w, "wb", buffering=_PIPE_BATCH) as out:
         failure = b""
@@ -328,6 +343,8 @@ def _send(w, produce, job, dtype):
                 array = array.astype(dtype, casting="equiv", copy=False)  # raises before its count is written
                 out.write(np.int64(array.size))
                 out.write(array)
+                if turns:
+                    out.flush()
         except Exception as exc:
             try:
                 failure = pickle.dumps(exc)
@@ -348,22 +365,6 @@ def _read_into(pipe, buf, child, died):
             raise RuntimeError(died.format(child.exitcode))
         view = view[got:]
     return buf
-
-
-def _block_stream(collect_block, engine, weight, blocks) -> Iterator[np.ndarray]:
-    """In a child: the counts of each of the vectorized ``blocks`` before the first failure, which then raises.
-
-    The whole run is computed before its first counts are yielded.  The
-    parent reads the children one after another, so a child that wrote as
-    it went would stop computing once its pipe filled, until the parent had
-    read every earlier child to its end.
-    """
-    computed = []
-    try:
-        for _, counts in _block_counts(collect_block, engine, weight, blocks):
-            computed.append(counts)
-    finally:  # a failure propagates once the counts before it are yielded
-        yield from computed
 
 
 def _collect_block_scalar(engine, weight, streams, start, stop):
@@ -398,14 +399,16 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     for a scalar-only oracle.  The start law decides the counting (see the
     module docstring); a start whose pmf is zero or below ``min_pmf`` (a
     weight above 1) fails its path like a raising simulator.  The blocks
-    come from ``_block_counts`` when serial, or from the children's stream
-    paired with the block sizes when forked; either raises the first
-    failure, after the paths before it (see the module docstring).  The
-    one ``except`` raises ``CollectionError`` naming the block that holds
-    ``acc.paths_completed``, the first path not added, with ``acc`` as the
-    partial: a scalar block's completed paths (``paths_completed`` is the
-    failing path's index), a vectorized block's all or none, and no later
-    block.  Forked children are gone when this returns or raises.
+    come from ``_block_counts`` when serial, or when forked from the
+    children's stream, which yields block i's counts i-th because the
+    blocks are dealt in turn, paired with the block sizes; either raises
+    the first failure, after the paths before it (see the module
+    docstring).  The one ``except`` raises ``CollectionError`` naming the
+    block that holds ``acc.paths_completed``, the first path not added,
+    with ``acc`` as the partial: a scalar block's completed paths
+    (``paths_completed`` is the failing path's index), a vectorized
+    block's all or none, and no later block.  Forked children are gone
+    when this returns or raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
     min_pmf = initial.min_pmf()
@@ -433,10 +436,12 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     if fork is None:
         stream = results = _block_counts(collect_block, engine, weight, blocks)
     else:
-        runs = np.array_split(blocks, workers)  # contiguous, the first len(blocks) % workers a block longer
-        jobs = [(collect_block, engine, weight, run.tolist()) for run in runs]
-        died = "collection process exited with code {} before sending its counts"
-        stream = _in_children(fork, _block_stream, jobs, acc.counts.dtype, died)
+        def counts_of(run):  # in a child: each block's counts as soon as they are computed
+            return (counts for _, counts in _block_counts(collect_block, engine, weight, run))
+
+        jobs = [(blocks[c::workers],) for c in range(workers)]  # dealt in turn: block b to child b % workers
+        died = "collection process exited with code {} before sending all its counts"
+        stream = _in_children(fork, counts_of, jobs, acc.counts.dtype, died)
         results = zip((stop - start for start, stop in blocks), stream)
     try:
         for paths, counts in results:

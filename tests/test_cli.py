@@ -397,6 +397,7 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "run_experiment", must_not_run)
     monkeypatch.setattr(cli, "reproduce_tables", must_not_run)
+    monkeypatch.setattr(cli, "_run_trial", must_not_run)  # coverage runs its trials without run_experiment
     code, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "missing" / "report.txt")])
     assert code == 2 and out == ""
     assert err.startswith("configuration error: cannot write report")

@@ -54,7 +54,7 @@ print(started, "multiprocessing.pool" in sys.modules)
 
 
 def test_pooled_collection_starts_no_thread_and_no_pool():
-    # One forked child and one pipe per run of blocks: no handler threads in the parent.
+    # One forked child and one pipe per worker: no handler threads in the parent.
     assert run_fresh(POOLED_COLLECTION) == "[] False"
 
 

@@ -446,7 +446,7 @@ def test_pooled_collection_leaves_no_child_process():
 
 def test_child_that_dies_raises_with_its_exit_code():
     chain = BiasedLineChain(20, 0.7)
-    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the short third block runs alone in the second child
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the first child runs blocks 0 and 2, the short third fails
     parent = os.getpid()
 
     def exit_in_child():
@@ -467,9 +467,35 @@ def test_child_that_dies_raises_with_its_exit_code():
     assert multiprocessing.active_children() == []
 
 
+def test_dead_child_keeps_the_blocks_it_sent():
+    # Blocks 0, 2 and the short fifth block go to the first child, 1 and 3 to
+    # the second.  The first child sends blocks 0 and 2 and dies in block 4,
+    # so the partial holds blocks 0-3, the dead child's two among them.
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 4 * BLOCK_SIZE + 500, 5, 0.1)
+    parent = os.getpid()
+
+    def exit_in_child():
+        if os.getpid() == parent:  # never end the test process itself
+            return RuntimeError("the kernel ran in the calling process")
+        os._exit(3)
+
+    faulthandler.dump_traceback_later(60, exit=True)  # a hang fails the run instead of stalling it
+    try:
+        with pytest.raises(CollectionError, match="block of paths 4096..4595: .*code 3") as exc_info:
+            rtf_collect(make_engine(KernelFailsOnShortBlock(chain, exit_in_child), cfg, 5, workers=2))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    partial = exc_info.value.partial
+    clean = rtf_collect(make_engine(chain, UcpiConfig(20, 4 * BLOCK_SIZE, 5, 0.1), 5))
+    assert partial.paths_completed == clean.paths_completed == 4 * BLOCK_SIZE
+    assert np.array_equal(partial.counts, clean.counts)
+    assert multiprocessing.active_children() == []
+
+
 def test_child_killed_by_a_signal_raises_with_its_exit_code():
     chain = BiasedLineChain(20, 0.7)
-    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the short third block runs alone in the second child
+    cfg = UcpiConfig(20, 3000, 5, 0.1)  # the first child runs blocks 0 and 2, the short third fails
     parent = os.getpid()
 
     def kill_in_child():
@@ -588,10 +614,11 @@ class KernelWaitsForEveryChild:
 
 def test_collection_children_compute_their_runs_at_once_however_large_their_output(monkeypatch, tmp_path):
     # Each child's counts (8 blocks of K int64s, 256 KiB) outgrow its pipe and
-    # write buffer, and the parent reads the children one after another.  A
-    # child that wrote as it computed would stop at a full pipe until the
-    # parent had read the first child to its end, and here the first child
-    # waits for the second to finish computing.
+    # write buffer, and each child's last kernel call waits until the other
+    # child has made its own.  The parent reads one block from each child in
+    # turn, so neither child stops at a full pipe while the other computes; a
+    # parent that read the first child to its end before the second would
+    # leave the second stopped at its full pipe, short of its last call.
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 16)
     chain, K = BiasedLineChain(20, 0.7), 4096
     cfg = UcpiConfig(20, 2 * 8 * 16, K, 0.1)
@@ -668,7 +695,8 @@ def test_bad_kernel_output_raises_collection_error(mangle, shape, dtype, workers
 
 
 OUT_OF_RANGE = {
-    # id: (oracle, start sampler, paths completed before the failure, message)
+    # id: (oracle, start sampler, paths completed before the failure (by worker count
+    # where they differ), message)
     "scalar-half": (
         lambda: ScalarReturns(lambda x: x + 0.5), lambda: UniformSampler(20), 0,
         "cannot be interpreted as an integer",
@@ -681,9 +709,12 @@ OUT_OF_RANGE = {
         lambda: KernelReturns(lambda xs: xs + 100), lambda: UniformSampler(20), 0,
         r"final state \d+ outside \[0, 20\)",
     ),
+    # Each forked child counts its own draws.  Serially the 1,501st draw falls in
+    # the second block; at two workers the first child draws blocks 0 and 2, so
+    # its 1,501st draw falls in the third block and the second block completes.
     "sampler-25": (
-        lambda: BiasedLineChain(20, 0.7), lambda: SamplerLeavesAfter(20, 1500, 25), BLOCK_SIZE,
-        r"start state 25 outside \[0, 20\)",
+        lambda: BiasedLineChain(20, 0.7), lambda: SamplerLeavesAfter(20, 1500, 25),
+        {1: BLOCK_SIZE, 2: 2 * BLOCK_SIZE}, r"start state 25 outside \[0, 20\)",
     ),
     "sampler-25-scalar": (
         lambda: ScalarOnly(BiasedLineChain(20, 0.7)), lambda: SamplerLeavesAfter(20, 1500, 25),
@@ -696,6 +727,8 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_states_raise_collection_error(case, workers):
     make_oracle, make_sampler, completed, message = OUT_OF_RANGE[case]
+    if isinstance(completed, dict):
+        completed = completed[workers]
     cfg = UcpiConfig(20, 3000, 5, 0.1)
     engine = RtfEngine(make_oracle(), make_sampler(), cfg, 5, workers)
     with pytest.raises(CollectionError, match=message) as exc_info:
