@@ -21,6 +21,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -107,12 +108,22 @@ class TrialResult:
 class ExperimentReport:
     spec: ExperimentSpec
     config: UcpiConfig
-    guaranteed: bool
     exact_lambda_star: float | None
     exact_relaxation: float | None
     exact_skipped_reason: str | None
     trials: list[TrialResult]
     wall_time_seconds: float | None
+
+    @property
+    def guaranteed(self) -> bool:
+        """Whether the coverage hypothesis holds at the fewest paths any trial completed.
+
+        A fresh-path trial completes the config's I paths, a USP trial its
+        ``segments``, which may fall short; none completed is False.
+        """
+        segments = [t.segments for t in self.trials if t.segments is not None]
+        fewest = min(segments, default=self.config.num_paths)
+        return fewest > 0 and validity_check(dataclasses.replace(self.config, num_paths=fewest))
 
     @property
     def informative_frequency(self) -> float:
@@ -234,7 +245,7 @@ def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
     if acc.paths_completed == 0:  # no segment completed: the uninformative answer
         raw_ell_star, argmin_k = 1.0, 0
     else:
-        est = finalize_estimate(acc, dataclasses.replace(cfg, num_paths=acc.paths_completed))
+        est = finalize_estimate(acc, cfg)
         raw_ell_star, argmin_k = est.ell_star, est.argmin_k
     # The two-step chain bounds the squared spectral radius.
     ell_star = math.sqrt(raw_ell_star) if spec.nonlazy else raw_ell_star
@@ -274,7 +285,6 @@ def _set_up(spec: ExperimentSpec):
     report = ExperimentReport(
         spec=spec,
         config=cfg,
-        guaranteed=validity_check(cfg),
         exact_lambda_star=lam_star,
         exact_relaxation=t_r,
         exact_skipped_reason=skip,
@@ -509,6 +519,27 @@ def _emit(text: str, out_path: str | None, mode: str = "w") -> None:
         sys.stdout.write(text)
 
 
+def _command_report(args) -> tuple[str, int]:
+    """Run the parsed subcommand; return its report and exit code."""
+    if args.command == "run":
+        report = run_experiment(_spec_from_args(args), with_timing=not args.no_timing)
+        return format_report(report, args.output_format), 0
+    if args.command == "tables":
+        text = reproduce_tables(
+            max_n=args.max_n, trials=args.trials, seed=args.seed, graph_seed=args.graph_seed
+        )
+        return text, 0
+    report, freq, low, high, passed = coverage_study(
+        _spec_from_args(args), with_timing=not args.no_timing
+    )
+    text = format_report(report, args.output_format)
+    text += (
+        f"violation frequency {freq:.4f}, wilson [{low:.4f}, {high:.4f}], "
+        f"delta {report.config.confidence:.4f}: {'PASS' if passed else 'FAIL'}\n"
+    )
+    return text, 0 if passed else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="specgap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -529,35 +560,21 @@ def main(argv=None) -> int:
     _add_common_arguments(cov_parser)
 
     args = parser.parse_args(argv)
+    new_out = bool(args.out) and not os.path.lexists(args.out)
+    written = False
     try:
         # Check the report path before any trial runs, keeping an old report.
         _emit("", args.out, mode="a")
-        if args.command == "run":
-            report = run_experiment(_spec_from_args(args), with_timing=not args.no_timing)
-            _emit(format_report(report, args.output_format), args.out)
-            return 0
-        if args.command == "tables":
-            text = reproduce_tables(
-                max_n=args.max_n, trials=args.trials, seed=args.seed, graph_seed=args.graph_seed
-            )
-            _emit(text, args.out)
-            return 0
-        if args.command == "coverage":
-            report, freq, low, high, passed = coverage_study(
-                _spec_from_args(args), with_timing=not args.no_timing
-            )
-            delta = report.config.confidence
-            text = format_report(report, args.output_format)
-            text += (
-                f"violation frequency {freq:.4f}, wilson [{low:.4f}, {high:.4f}], "
-                f"delta {delta:.4f}: {'PASS' if passed else 'FAIL'}\n"
-            )
-            _emit(text, args.out)
-            return 0 if passed else 1
+        text, code = _command_report(args)
+        _emit(text, args.out)
+        written = True
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    finally:
+        if new_out and not written and os.path.lexists(args.out):
+            os.remove(args.out)  # made by the check, and no report followed
 
 
 if __name__ == "__main__":

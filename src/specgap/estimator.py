@@ -60,7 +60,7 @@ def _require_integer(name, value, least=None):
 
 @dataclass(frozen=True)
 class UcpiConfig:
-    """Estimation parameters: state-space size, path count I, path length K, confidence delta."""
+    """Estimation parameters: state-space size, planned path count I, path length K, confidence delta."""
 
     state_space_size: int
     num_paths: int
@@ -244,22 +244,24 @@ def plugin_bound(u: float, k: int, state_space_size: int) -> float:
 def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstimate:
     """Turn accumulated return counts into the final eigenvalue bound.
 
-    Per k: m_hat = counts/I, u_hat = KL upper bound at level delta/(2K),
-    ell_hat = plug-in eigenvalue bound; ell_star is the minimum over k.
-    A ``WeightedReturnAccumulator`` holds scaled sums in [0, I] and carries
-    ``w_max``, which replaces |S| in the plug-in.  Pure function of (acc,
-    cfg): identical inputs give identical outputs.
+    I is ``acc.paths_completed``, the paths the counts cover; ``cfg``
+    supplies K, delta and |S|, and its planned ``num_paths`` is not read,
+    so a partial run (an exhausted USP source, a ``CollectionError``
+    partial) finalizes as it is.  Per k: m_hat = counts/I, u_hat = KL
+    upper bound at level delta/(2K), ell_hat = plug-in eigenvalue bound;
+    ell_star is the minimum over k.  A ``WeightedReturnAccumulator`` holds
+    scaled sums in [0, I] and carries ``w_max``, which replaces |S| in the
+    plug-in.  Pure function of (acc, cfg): identical inputs give identical
+    outputs.
     """
     K = cfg.max_path_length
-    I = cfg.num_paths
+    I = acc.paths_completed
     if acc.max_path_length != K:
         raise ValueError(
             f"accumulator tracks {acc.max_path_length} path lengths, config expects {K}"
         )
-    if acc.paths_completed != I:
-        raise ValueError(
-            f"accumulator holds {acc.paths_completed} completed paths, config expects {I}"
-        )
+    if I < 1:
+        raise ValueError("accumulator holds no completed path")
     counts = np.asarray(acc.counts)
     if counts.min() < 0 or counts.max() > I:
         raise ValueError("return counts must lie in [0, paths_completed]")

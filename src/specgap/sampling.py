@@ -8,7 +8,8 @@ from one long path by regenerating at freshly drawn uniform target states.
 Fresh paths run through one collector.  It reads the start law's
 ``min_pmf`` once, and unless ``min_pmf * |S|`` lies in (0, 1 + 1e-12] it
 raises ``ValueError`` before any path runs: such a law cannot give mass to
-every state of [0, |S|).  A uniform law (``min_pmf == 1/|S|``) counts
+every state of [0, |S|).  So does an oracle whose ``state_space_size()``
+differs from the config's |S|.  A uniform law (``min_pmf == 1/|S|``) counts
 returns as integers; any other law, and every ``weighted_collect`` call,
 adds min_pmf/pmf(x0) per return.
 
@@ -45,7 +46,10 @@ dead child's blocks sent before it died included.  Forking costs some
 than serial.  A stateful oracle's or sampler's state lives in each child:
 the caller's copy does not see their calls.  Scalar-only oracles run
 every block in the calling thread, because black-box simulators are
-often stateful and their callers may count their calls.
+often stateful and their callers may count their calls.  Only
+all-or-nothing blocks may run in a child, since it sends counts alone:
+pooled scalar blocks would have to send each block's path count, and
+the parent stop adding after a short block.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -201,9 +205,9 @@ class _PathStreams:
 class CollectionError(RuntimeError):
     """A simulator failure mid-collection; carries the counts gathered so far.
 
-    ``partial.paths_completed`` reflects fully finished paths only, so the
-    partial accumulator is still a valid (more conservative) input for
-    estimation after shrinking the config to the completed path count.
+    ``partial.paths_completed`` reflects fully finished paths only, and
+    ``finalize_estimate`` takes it as I, so the partial finalizes as it is
+    under the run's own config, to a valid (more conservative) bound.
     """
 
     def __init__(self, message: str, partial: ReturnCountAccumulator):
@@ -368,52 +372,73 @@ def _read_into(pipe, buf, child, died):
 
 
 def _collect_block_scalar(engine, weight, streams, start, stop):
-    """Yield ``(paths, counts)`` of the paths of ``start..stop-1`` completed before any failure, then raise it."""
+    """Yield ``(paths, counts)`` of the paths of ``start..stop-1`` completed before any failure, then raise it.
+
+    A uniform start law adds each path's K return indicators as integers.
+    Weighted starts keep the block's K x B return matrix and its weights,
+    and sum each k over the m paths completed as the vectorized block does,
+    ``weights[:m] @ returns[k, :m]``, so the two sums are bit-identical.
+    """
     next_state, sample = engine.oracle.next_state, engine.initial.sample
     K, n = engine.config.max_path_length, engine.config.state_space_size
-    returns = np.empty(K, dtype=bool)
-    counts = np.zeros(K, dtype=np.int64 if weight is None else float)
+    if weight is None:
+        returns, counts = np.empty(K, dtype=bool), np.zeros(K, dtype=np.int64)
+    else:
+        returns, weights = np.empty((K, stop - start), dtype=bool), np.empty(stop - start)
+
+    def counts_of(m):  # the block's counts over its first m paths
+        if weight is None:
+            return counts
+        return np.fromiter((weights[:m] @ returns[k, :m] for k in range(K)), float, K)
+
     for j in range(start, stop):
         rng = streams(j)
+        path = returns if weight is None else returns[:, j - start]
         try:
             x = x0 = operator.index(sample(rng))
             if not 0 <= x0 < n:
                 raise ValueError(f"start state {x0} outside [0, {n})")
-            w = None if weight is None else weight(x0)
+            if weight is not None:
+                weights[j - start] = weight(x0)
             for k in range(K):
                 x = next_state(x, rng)
-                returns[k] = x == x0
+                path[k] = x == x0
             if not 0 <= operator.index(x) < n:
                 raise ValueError(f"final state {x} outside [0, {n})")
         except Exception:
-            yield j - start, counts  # path j is torn, so counts[k] <= paths holds
+            yield j - start, counts_of(j - start)  # path j is torn, so counts[k] <= paths holds
             raise
-        counts += returns if w is None else returns * w
-    yield stop - start, counts
+        if weight is None:
+            counts += returns
+    yield stop - start, counts_of(stop - start)
 
 
 def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulator:
     """Run ``engine``'s blocks and add them in block order into one accumulator; return it.
 
-    The oracle's kind, read once, picks the block function, and one worker
-    for a scalar-only oracle.  The start law decides the counting (see the
-    module docstring); a start whose pmf is zero or below ``min_pmf`` (a
-    weight above 1) fails its path like a raising simulator.  The blocks
-    come from ``_block_counts`` when serial, or when forked from the
-    children's stream, which yields block i's counts i-th because the
-    blocks are dealt in turn, paired with the block sizes; either raises
-    the first failure, after the paths before it (see the module
-    docstring).  The one ``except`` raises ``CollectionError`` naming the
-    block that holds ``acc.paths_completed``, the first path not added,
-    with ``acc`` as the partial: a scalar block's completed paths
-    (``paths_completed`` is the failing path's index), a vectorized
-    block's all or none, and no later block.  Forked children are gone
-    when this returns or raises.
+    A start law that cannot reach every state, and then an oracle whose
+    ``state_space_size()`` is not the config's, raise ``ValueError`` before
+    any path runs.  The oracle's kind, read once, picks the block function,
+    and one worker for a scalar-only oracle.  The start law decides the
+    counting (see the module docstring); a start whose pmf is zero or below
+    ``min_pmf`` (a weight above 1) fails its path like a raising simulator.
+    The blocks come from ``_block_counts`` when serial, or when forked from
+    the children's stream, which yields block i's counts i-th because the
+    blocks are dealt in turn, paired with the block sizes; either raises the
+    first failure, after the paths before it (see the module docstring).
+    The one ``except`` raises ``CollectionError`` naming the block that
+    holds ``acc.paths_completed``, the first path not added, with ``acc`` as
+    the partial: a scalar block's completed paths (``paths_completed`` is
+    the failing path's index), a vectorized block's all or none, and no
+    later block.  Forked children are gone when this returns or raises.
     """
     initial, cfg, n = engine.initial, engine.config, engine.config.state_space_size
     min_pmf = initial.min_pmf()
     if not 0.0 < min_pmf * n <= 1.0 + 1e-12:
         raise ValueError(f"start law min_pmf {min_pmf} cannot give mass to all {n} states")
+    oracle_states = engine.oracle.state_space_size()
+    if oracle_states != n:
+        raise ValueError(f"oracle has {oracle_states} states, config has {n}")
     if min_pmf == 1.0 / n and not weighted:
         acc, weight = ReturnCountAccumulator.empty(cfg.max_path_length), None
     else:

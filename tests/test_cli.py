@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,6 +20,7 @@ from specgap.cli import (
     run_experiment,
     wilson_interval,
 )
+from specgap.estimator import UcpiConfig, validity_check
 
 TWO_STATE = [[0.75, 0.25], [0.25, 0.75]]
 
@@ -403,6 +405,41 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("configuration error: cannot write report")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--chain", "line", "--p", "1.5", "--n", "20000"],
+        ["tables", "--max-n", "1000"],
+    ],
+)
+def test_config_error_leaves_no_report_file(tmp_path, capsys, argv):
+    # Checking a new --out path creates it; with no report it is removed again.
+    new = tmp_path / "new.txt"
+    code, out, err = run_cli(capsys, [*argv, "--out", str(new)])
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ")
+    assert not new.exists()
+    old = tmp_path / "old.txt"
+    old.write_bytes(b"an earlier report\r\n")
+    code, out, err = run_cli(capsys, [*argv, "--out", str(old)])
+    assert code == 2
+    assert old.read_bytes() == b"an earlier report\r\n"
+
+
+def test_failed_coverage_check_writes_its_report(tmp_path, capsys, monkeypatch):
+    study = cli.coverage_study
+
+    def failing(spec, with_timing=True):
+        return (*study(spec, with_timing)[:4], False)
+
+    monkeypatch.setattr(cli, "coverage_study", failing)
+    new = tmp_path / "new.txt"
+    argv = ["coverage", "--chain", "line", "--size", "4", "--n", "1000", "--trials", "200", "--no-timing"]
+    code, out, err = run_cli(capsys, [*argv, "--out", str(new)])
+    assert code == 1 and out == "" and err == ""
+    assert new.read_text().endswith(": FAIL\n")
+
+
 def test_non_finite_mu_file_exits_two(tmp_path, capsys):
     mu = tmp_path / "mu.txt"
     mu.write_text("nan\n-0.5\n1.5\n")
@@ -566,10 +603,12 @@ USP_ARGV = ["run", "--chain", "line", "--size", "8", "--p", "0.7", "--model", "u
 # SHA-256 of the report, with the --usp-path path replaced by "trace.txt".
 # "oracle" simulates the trajectory; "file" reads a seeded trace of 8 states;
 # "outside" reads a trace whose every state is 50, outside the 8 states: no
-# report, exit 2 (None).
+# report, exit 2 (None).  The "oracle" trials complete 128 and 113 of 751
+# segments, fewer than the 182 the coverage hypothesis needs, so its JSON
+# report says "guaranteed": false.
 GOLDEN_USP_REPORTS = {
     ("oracle", "json"):
-        "ef2c135845cb43936d6e4c0e63a4459e0a11bcb4683d7bc0dd187f3ed7af2d0a",
+        "a2432f9405e5043fe9b7c8586c1a7b904d297d00d6d37e589394770c53789d7f",
     ("oracle", "csv"):
         "a6c000755d17cb2cfc761cf624c6f8a2e8f062b247bd89945d320c8f008a045e",
     ("file", "json"):
@@ -603,6 +642,22 @@ def test_run_golden_usp_report(tmp_path, capsys, source, fmt):
     assert code == 0 and err == ""
     out = out.replace(str(trace), "trace.txt")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_USP_REPORTS[source, fmt]
+
+
+def test_usp_guaranteed_is_judged_at_the_segments_completed(capsys):
+    # The default split plans 353 segments of K = 113 at delta = 0.005, and
+    # the coverage hypothesis needs 344 on 16 states; the 40000-state
+    # trajectory completes 139, so the report must not claim it.
+    argv = ["run", "--chain", "line", "--size", "16", "--p", "0.5", "--model", "usp",
+            "--n", "40000", "--format", "json", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    cfg = UcpiConfig(**{k: v for k, v in report["parameters"].items() if k != "guaranteed"})
+    assert cfg == UcpiConfig(16, 353, 113, 0.005)
+    assert validity_check(cfg) and not validity_check(dataclasses.replace(cfg, num_paths=343))
+    assert [t["segments"] for t in report["trials"]] == [139]
+    assert report["parameters"]["guaranteed"] is False
 
 
 def test_usp_trace_outside_the_chain_exits_two(tmp_path, capsys):

@@ -406,8 +406,8 @@ def test_finalize_shape_and_count_errors():
     cfg = UcpiConfig(5, 40, 6, 0.1)
     with pytest.raises(ValueError):
         finalize_estimate(make_acc([0] * 5, 40), cfg)  # wrong K
-    with pytest.raises(ValueError):
-        finalize_estimate(make_acc([0] * 6, 39), cfg)  # wrong path count
+    with pytest.raises(ValueError, match="no completed path"):
+        finalize_estimate(make_acc([0] * 6, 0), cfg)
     with pytest.raises(ValueError):
         finalize_estimate(make_acc([41, 0, 0, 0, 0, 0], 40), cfg)  # count > paths
 

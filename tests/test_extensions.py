@@ -496,6 +496,22 @@ def test_weighted_scalar_sampler_failure_raises_collection_error(workers):
     assert np.array_equal(partial.scaled_counts, clean.scaled_counts)
 
 
+@pytest.mark.parametrize(
+    "start_weights",
+    [np.arange(1.0, 21.0), np.random.default_rng(8).random(20) + 0.1, np.array([1.0, 3.0] * 10)],
+    ids=["1..20", "random", "1-3"],
+)
+def test_weighted_sums_identical_scalar_and_vectorized(start_weights):
+    # Non-dyadic weights: the scalar block must add each k as the vectorized one does.
+    chain = BiasedLineChain(20, 0.7)
+    mu = TabularSampler(start_weights / start_weights.sum())
+    cfg = UcpiConfig(20, 3000, 40, 0.1)
+    vectorized = rtf_collect(RtfEngine(chain, mu, cfg, 4))
+    scalar = rtf_collect(RtfEngine(CallCounter(chain), mu, cfg, 4))
+    assert vectorized.counts.dtype == np.float64 and vectorized.counts.any()
+    assert np.array_equal(vectorized.counts, scalar.counts)
+
+
 def test_finalize_weighted_validation():
     cfg = UcpiConfig(2, 10, 3, 0.1)
     acc = WeightedReturnAccumulator.empty(3, w_max=2.0)
@@ -504,8 +520,8 @@ def test_finalize_weighted_validation():
     short.paths_completed = 10
     with pytest.raises(ValueError, match="path lengths"):
         finalize_weighted(short, cfg)
-    acc.paths_completed = 9
-    with pytest.raises(ValueError, match="completed"):
+    acc.paths_completed = 0
+    with pytest.raises(ValueError, match="no completed path"):
         finalize_weighted(acc, cfg)
 
 

@@ -296,15 +296,65 @@ def reversible_lazy_chains(draw):
     num_paths=st.integers(1, 3 * BLOCK_SIZE),
     K=st.integers(1, 20),
     seed=st.integers(0, 2**64 - 1),
+    start_weights=st.none() | st.lists(st.integers(1, 9), min_size=10, max_size=10),
 )
-def test_vectorized_blocks_match_scalar_at_any_worker_count(chain, num_paths, K, seed):
+def test_vectorized_blocks_match_scalar_at_any_worker_count(chain, num_paths, K, seed, start_weights):
+    # None starts uniformly; unequal integer weights make a non-dyadic start
+    # law, whose weighted float sums would show a change of summation order.
     n = chain.state_space_size()
+    if start_weights is None:
+        initial = UniformSampler(n)
+    else:
+        weights = np.array(start_weights[:n], float)
+        initial = TabularSampler(weights / weights.sum())
     cfg = UcpiConfig(n, num_paths, K, 0.1)
-    scalar = rtf_collect(RtfEngine(ScalarOnly(chain), UniformSampler(n), cfg, seed))
+    scalar = rtf_collect(RtfEngine(ScalarOnly(chain), initial, cfg, seed))
     for workers in (1, 2, 3):
-        vec = rtf_collect(make_engine(chain, cfg, seed, workers))
+        vec = rtf_collect(RtfEngine(chain, initial, cfg, seed, workers))
         assert np.array_equal(vec.counts, scalar.counts)
         assert vec.paths_completed == scalar.paths_completed == num_paths
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+def test_oracle_of_another_state_count_is_refused_before_any_path(scalar):
+    # Unchecked, the vectorized kernel clamps a start of 15 to state 9 while
+    # the scalar step holds it at 15, so the two would count differently.
+    chain = BiasedLineChain(10, 0.5)
+    oracle = CountingOracle(chain) if scalar else chain
+    cfg = UcpiConfig(20, 50, 4, 0.1)
+    message = "oracle has 10 states, config has 20"
+    with pytest.raises(ValueError, match=message):
+        rtf_collect(RtfEngine(oracle, UniformSampler(20), cfg, 0))
+    with pytest.raises(ValueError, match=message):
+        estimate_nonlazy(oracle, cfg, UniformSampler(20), 0)
+    assert not scalar or oracle.calls == 0
+
+
+def test_partial_runs_finalize_as_under_a_config_rebuilt_to_their_path_count():
+    # finalize_estimate takes I from the accumulator, never the plan.
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, 3000, 12, 0.05)
+    skewed = TabularSampler(np.arange(1.0, 21.0) / 210.0)
+    accs = []
+    for engine in [
+        RtfEngine(ScalarOnly(chain), SamplerFailsAfter(20, 1500), cfg, 5),  # scalar: paths 0..1499
+        RtfEngine(KernelFailsOnShortBlock(chain), UniformSampler(20), cfg, 5),  # vectorized: 2 blocks
+        RtfEngine(KernelFailsOnShortBlock(chain), skewed, cfg, 5),  # weighted: 2 blocks
+    ]:
+        with pytest.raises(CollectionError) as exc_info:
+            rtf_collect(engine)
+        accs.append(exc_info.value.partial)
+    engine = UspEngine(trajectory_from_oracle(chain, 0, 5, max_steps=20_000), 12, UniformSampler(20), 5)
+    accs.append(usp_collect(engine, cfg.num_paths))
+    assert engine.stats.exhausted
+    assert [acc.paths_completed for acc in accs[:3]] == [1500, 2 * BLOCK_SIZE, 2 * BLOCK_SIZE]
+    assert 0 < accs[3].paths_completed < cfg.num_paths
+    for acc in accs:
+        planned = finalize_estimate(acc, cfg)
+        rebuilt = finalize_estimate(acc, dataclasses.replace(cfg, num_paths=acc.paths_completed))
+        for name in ("m_hat", "u_hat", "ell_hat"):
+            assert np.array_equal(getattr(planned, name), getattr(rebuilt, name))
+        assert (planned.ell_star, planned.argmin_k) == (rebuilt.ell_star, rebuilt.argmin_k)
 
 
 def test_partial_counts_preserved_on_oracle_failure():
@@ -853,9 +903,8 @@ def test_usp_exhaustion_is_partial_not_fatal():
     assert engine.stats.exhausted
     assert 0 < acc.paths_completed < 100
     assert engine.stats.source_steps_consumed == 40
-    # a shrunk config finalizes the partial result
-    cfg = UcpiConfig(2, acc.paths_completed, 4, 0.1)
-    est = finalize_estimate(acc, cfg)
+    # the planned config finalizes the partial result as it is
+    est = finalize_estimate(acc, UcpiConfig(2, 100, 4, 0.1))
     assert 0.0 <= est.ell_star <= 1.0
 
 
