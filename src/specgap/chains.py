@@ -352,11 +352,13 @@ def exact_spectrum(chain) -> np.ndarray:
     square root of the stationary distribution into a symmetric matrix and
     handed to a dense symmetric eigensolver, which guarantees a real
     spectrum.  Raises if detailed balance fails beyond ``REVERSIBILITY_TOL``
-    or the leading eigenvalue is not 1.
+    or the leading eigenvalue is not 1.  A chain of more than
+    ``MAX_EXACT_STATES`` states raises ``ValueError`` before its matrix is
+    built.
     """
+    _check_desk_scale(chain.state_space_size())
     P = chain.transition_matrix()
     pi = chain.stationary_distribution()
-    _check_desk_scale(len(pi))
     if pi.min() <= 0.0:
         raise ValueError("stationary distribution must be strictly positive")
     flows = pi[:, None] * P
@@ -372,11 +374,15 @@ def exact_spectrum(chain) -> np.ndarray:
 
 
 def return_probability_curve(chain, max_k: int) -> np.ndarray:
-    """Exact k-step return probabilities m_k = tr(P^k)/|S| for k = 1..max_k."""
+    """Exact k-step return probabilities m_k = tr(P^k)/|S| for k = 1..max_k.
+
+    As in ``exact_spectrum``, a chain of more than ``MAX_EXACT_STATES``
+    states raises ``ValueError`` before its matrix is built.
+    """
     _require_integer("max_k", max_k, 1)
+    _check_desk_scale(chain.state_space_size())
     P = chain.transition_matrix()
     n = len(P)
-    _check_desk_scale(n)
     out = np.empty(max_k)
     M = P.copy()
     out[0] = np.trace(M) / n

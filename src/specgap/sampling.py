@@ -24,32 +24,36 @@ and counter for every path instead of building a generator per path.  The
 runs and must not be kept.
 
 Block protocol.  Paths run in fixed-size blocks, and a block is a
-generator of ``(paths, counts)`` pairs that raises the simulator's
-failure.  A vectorized block yields all its paths once or raises before
-yielding; a scalar block yields the paths it completed and then raises,
-so a failing path's block still hands over the paths before it.  One
-loop adds the pairs into one accumulator in block order, and its one
-``except`` turns a failure into the ``CollectionError``: the first path
-not yet added, ``partial.paths_completed``, names the failing block.
-With a vectorized oracle (``step_with_uniforms``) and ``worker_count`` > 1,
-the blocks are dealt in turn to up to ``worker_count`` forked children
-(below): of w children, child c computes blocks c, c + w, c + 2w, ... and
-sends each block's K-vector down its pipe as soon as it has it.  The
-parent reads one vector from each child in turn, which is block order,
-pairs each with its block's size and adds them, so the counts are
-bit-identical at any worker count.  A child sends the blocks before its
-first failure, then the failure; a child that dies (a signal, a crash in
-native code) raises its exit code at its turn.  Either way the partial
-holds every block before the first one the parent did not receive, a
-dead child's blocks sent before it died included.  Forking costs some
-10-30 ms a call on a 2-vCPU VM, so a call of a few blocks can be slower
-than serial.  A stateful oracle's or sampler's state lives in each child:
-the caller's copy does not see their calls.  Scalar-only oracles run
-every block in the calling thread, because black-box simulators are
-often stateful and their callers may count their calls.  Only
-all-or-nothing blocks may run in a child, since it sends counts alone:
-pooled scalar blocks would have to send each block's path count, and
-the parent stop adding after a short block.
+generator of rows that raises the simulator's failure.  A row is one
+array of K + 1 items in the accumulator's dtype: the paths the block
+completed, then their K counts (a float64 row holds a path count of at
+most ``BLOCK_SIZE`` exactly).  A vectorized block yields its row once or
+raises before yielding; a scalar block yields the row of the paths it
+completed and then raises, so a failing path's block still hands over
+the paths before it.  One loop adds the rows into one accumulator in
+block order, and its one ``except`` turns a failure into the
+``CollectionError``: the first path not yet added,
+``partial.paths_completed``, names the failing block.  With a vectorized
+oracle (``step_with_uniforms``) and ``worker_count`` > 1, the blocks are
+dealt in turn to up to ``worker_count`` forked children (below): of w
+children, child c computes blocks c, c + w, c + 2w, ... and sends each
+block's row down its pipe as soon as it has it.  The parent reads one row
+from each child in turn, which is block order, and adds them as it adds
+rows computed in process, so the counts are bit-identical at any worker
+count.  A child sends the rows before its first failure, then the
+failure; a child that dies (a signal, a crash in native code) raises its
+exit code at its turn.  Either way the partial holds every block before
+the first one the parent did not receive, a dead child's blocks sent
+before it died included.  Forking costs some 10-30 ms a call on a 2-vCPU
+VM, so a call of a few blocks can be slower than serial.  A stateful
+oracle's or sampler's state lives in each child: the caller's copy does
+not see their calls.  Scalar-only oracles run every block in the calling
+thread, because black-box simulators are often stateful and their
+callers may count their calls, and because of the turns: after a scalar
+block's short row, the parent reads the next child's row, or that
+child's clean end, before the short block's failure, so it would add a
+later block or miss the failure.  Pooling them needs the parent to stop
+adding after a short block.
 
 Each path's start state and its state after step K must be integers in
 [0, |S|); one that is not raises ``CollectionError`` as a raising
@@ -68,15 +72,16 @@ Forked children.  Both uses above run through one runner,
   context, inherits the job's arguments rather than receiving them
   pickled, so oracles need not be picklable.  Each child has its own
   pipe, and the parent closes its copy of the write end.
-- Send: the child writes each array its job yields as an int64 item count
-  followed by the items, then ``-1 - len(failure)`` and the pickled
-  exception the job raised, if any (an empty failure when it ended
-  cleanly); an exception that does not survive pickling is sent as a
-  ``RuntimeError`` naming its type.  A lone child buffers ``_PIPE_BATCH``
-  bytes a write.  Children that take turns flush each array through the
-  same buffered writer as soon as it is written, because the parent waits
-  for it before it reads the others, and so that a child that dies has
-  sent every array it wrote.
+- Send: the child writes each array its job yields (a collection child's
+  rows, the reader's chunks) as an int64 item count followed by the
+  items, then ``-1 - len(failure)`` and the pickled exception the job
+  raised, if any (an empty failure when it ended cleanly); an exception
+  that does not survive pickling is sent as a ``RuntimeError`` naming its
+  type.  A lone child buffers ``_PIPE_BATCH`` bytes a write.  Children
+  that take turns flush each array through the same buffered writer as
+  soon as it is written, because the parent waits for it before it reads
+  the others, and so that a child that dies has sent every array it
+  wrote.
 - Receive: the parent reads one array from each child in turn, each into
   a buffer of exactly its size, and ends at the first child whose stream
   ends, raising that child's failure, if any; for one child this is
@@ -93,8 +98,9 @@ Forked children.  Both uses above run through one runner,
   the call that started it.
 
 Without ``fork``, and in a daemonic process, which may not start
-children, both uses run in the calling thread.  From Python 3.12, forking
-a process that holds threads (a BLAS pool, say) raises a
+children, the runner hands back its one job's stream, computed in the
+calling thread, so both uses make one call either way.  From Python
+3.12, forking a process that holds threads (a BLAS pool, say) raises a
 ``DeprecationWarning``.
 """
 
@@ -221,9 +227,10 @@ class RtfEngine:
 
     ``worker_count``, an integer of at least 1, caps the child processes
     forked to compute a vectorized oracle's blocks, which they take in
-    turn, each with its own copy of the oracle and the sampler.  A
-    scalar-only oracle runs in the calling thread at any count.  The
-    module docstring describes the children and their cost.
+    turn, each with its own copy of the oracle and the sampler, and send
+    back as rows of their path count and counts.  A scalar-only oracle
+    runs in the calling thread at any count.  The module docstring
+    describes the rows, the children and their cost.
     """
 
     oracle: TransitionOracle
@@ -245,7 +252,7 @@ def _check_range(states, n, what):
 
 
 def _collect_block_vectorized(engine, weight, streams, start, stop):
-    """Yield ``(stop - start, counts)`` of paths ``start..stop-1`` once; raises what the simulator raises."""
+    """Yield the row of paths ``start..stop-1`` once; raises what the simulator raises."""
     K, n = engine.config.max_path_length, engine.config.state_space_size
     ups = engine.oracle.uniforms_per_step
     x0 = np.empty(stop - start, dtype=np.int64)
@@ -256,7 +263,8 @@ def _collect_block_vectorized(engine, weight, streams, start, stop):
         rng.random(out=uniforms[j])
     _check_range(x0, n, "start state")
     weights = None if weight is None else np.fromiter((weight(int(x)) for x in x0), float, len(x0))
-    counts = np.empty(K, dtype=np.int64 if weight is None else float)
+    row = np.empty(K + 1, dtype=np.int64 if weight is None else float)
+    row[0], counts = stop - start, row[1:]
     xs = x0.copy()  # a kernel may write into its input
     for k in range(K):
         xs = np.asarray(engine.oracle.step_with_uniforms(xs, uniforms[:, k * ups : (k + 1) * ups]))
@@ -267,11 +275,11 @@ def _collect_block_vectorized(engine, weight, streams, start, stop):
             )
         counts[k] = np.count_nonzero(xs == x0) if weights is None else weights @ (xs == x0)
     _check_range(xs, n, "final state")
-    yield stop - start, counts
+    yield row
 
 
 def _block_counts(collect_block, engine, weight, blocks):
-    """Yield ``(paths, counts)`` of each of ``blocks`` in order; the first failure raises."""
+    """Yield the row of each of ``blocks`` in order; the first failure raises."""
     streams = _PathStreams(engine.master_seed)
     for start, stop in blocks:
         yield from collect_block(engine, weight, streams, start, stop)
@@ -296,8 +304,13 @@ def _in_children(fork, produce, jobs, dtype, died) -> Iterator[np.ndarray]:
     Every child has started when this returns, and a failed fork raises
     here rather than from the stream; the module docstring describes the
     children's start, wire format, receive and stop.  A child whose pipe
-    ends early raises ``RuntimeError(died.format(exit_code))``.
+    ends early raises ``RuntimeError(died.format(exit_code))``.  With
+    ``fork`` None, ``jobs`` holds one job, and this returns its
+    ``produce(*job)`` itself, to run in the calling thread.
     """
+    if fork is None:
+        (job,) = jobs
+        return produce(*job)
     stream = _child_stream(fork, produce, jobs, dtype, died)
     next(stream)  # runs the start
     return stream
@@ -372,24 +385,28 @@ def _read_into(pipe, buf, child, died):
 
 
 def _collect_block_scalar(engine, weight, streams, start, stop):
-    """Yield ``(paths, counts)`` of the paths of ``start..stop-1`` completed before any failure, then raise it.
+    """Yield the row of the paths of ``start..stop-1`` completed before any failure, then raise it.
 
-    A uniform start law adds each path's K return indicators as integers.
-    Weighted starts keep the block's K x B return matrix and its weights,
-    and sum each k over the m paths completed as the vectorized block does,
-    ``weights[:m] @ returns[k, :m]``, so the two sums are bit-identical.
+    A uniform start law adds each path's K return indicators as integers
+    into the row's counts.  Weighted starts keep the block's K x B return
+    matrix and its weights, and sum each k over the m paths completed as
+    the vectorized block does, ``weights[:m] @ returns[k, :m]``, so the two
+    sums are bit-identical.
     """
     next_state, sample = engine.oracle.next_state, engine.initial.sample
     K, n = engine.config.max_path_length, engine.config.state_space_size
+    row = np.zeros(K + 1, dtype=np.int64 if weight is None else float)
+    counts = row[1:]  # a view, so the per-path add allocates nothing
     if weight is None:
-        returns, counts = np.empty(K, dtype=bool), np.zeros(K, dtype=np.int64)
+        returns = np.empty(K, dtype=bool)
     else:
         returns, weights = np.empty((K, stop - start), dtype=bool), np.empty(stop - start)
 
-    def counts_of(m):  # the block's counts over its first m paths
-        if weight is None:
-            return counts
-        return np.fromiter((weights[:m] @ returns[k, :m] for k in range(K)), float, K)
+    def row_of(m):  # the block's row over its first m paths
+        row[0] = m
+        if weight is not None:
+            counts[:] = [weights[:m] @ returns[k, :m] for k in range(K)]
+        return row
 
     for j in range(start, stop):
         rng = streams(j)
@@ -406,11 +423,11 @@ def _collect_block_scalar(engine, weight, streams, start, stop):
             if not 0 <= operator.index(x) < n:
                 raise ValueError(f"final state {x} outside [0, {n})")
         except Exception:
-            yield j - start, counts_of(j - start)  # path j is torn, so counts[k] <= paths holds
+            yield row_of(j - start)  # path j is torn, so counts[k] <= paths holds
             raise
         if weight is None:
             counts += returns
-    yield stop - start, counts_of(stop - start)
+    yield row_of(stop - start)
 
 
 def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulator:
@@ -422,10 +439,11 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
     and one worker for a scalar-only oracle.  The start law decides the
     counting (see the module docstring); a start whose pmf is zero or below
     ``min_pmf`` (a weight above 1) fails its path like a raising simulator.
-    The blocks come from ``_block_counts`` when serial, or when forked from
-    the children's stream, which yields block i's counts i-th because the
-    blocks are dealt in turn, paired with the block sizes; either raises the
-    first failure, after the paths before it (see the module docstring).
+    The rows come from ``_block_counts``, run by ``_in_children``: in this
+    thread as one job, or in forked children that are dealt the blocks in
+    turn, so that the stream yields block i's row i-th.  Either stream
+    raises the first failure after the rows before it (see the module
+    docstring), and the loop adds each row's counts and path count.
     The one ``except`` raises ``CollectionError`` naming the block that
     holds ``acc.paths_completed``, the first path not added, with ``acc`` as
     the partial: a scalar block's completed paths (``paths_completed`` is
@@ -453,32 +471,25 @@ def _collect(engine: RtfEngine, weighted: bool = False) -> ReturnCountAccumulato
 
     I = cfg.num_paths
     blocks = [(start, min(start + BLOCK_SIZE, I)) for start in range(0, I, BLOCK_SIZE)]
-    if getattr(engine.oracle, "uniforms_per_step", None) is None:
-        collect_block, workers = _collect_block_scalar, 1
-    else:
-        collect_block, workers = _collect_block_vectorized, min(engine.worker_count, len(blocks))
-    fork = _fork_context() if workers > 1 else None
-    if fork is None:
-        stream = results = _block_counts(collect_block, engine, weight, blocks)
-    else:
-        def counts_of(run):  # in a child: each block's counts as soon as they are computed
-            return (counts for _, counts in _block_counts(collect_block, engine, weight, run))
-
-        jobs = [(blocks[c::workers],) for c in range(workers)]  # dealt in turn: block b to child b % workers
-        died = "collection process exited with code {} before sending all its counts"
-        stream = _in_children(fork, counts_of, jobs, acc.counts.dtype, died)
-        results = zip((stop - start for start, stop in blocks), stream)
+    vectorized = getattr(engine.oracle, "uniforms_per_step", None) is not None
+    collect_block = _collect_block_vectorized if vectorized else _collect_block_scalar
+    fork = _fork_context() if vectorized and engine.worker_count > 1 and len(blocks) > 1 else None
+    workers = min(engine.worker_count, len(blocks)) if fork else 1  # without fork, one job in this thread
+    # Dealt in turn: block b goes to job b % workers.
+    jobs = [(collect_block, engine, weight, blocks[c::workers]) for c in range(workers)]
+    died = "collection process exited with code {} before sending all its counts"
+    rows = _in_children(fork, _block_counts, jobs, acc.counts.dtype, died)
     try:
-        for paths, counts in results:
-            acc.counts += counts
-            acc.paths_completed += paths
+        for row in rows:
+            acc.counts += row[1:]
+            acc.paths_completed += int(row[0])
     except Exception as exc:
         start, stop = blocks[acc.paths_completed // BLOCK_SIZE]  # the block of the first path not added
         raise CollectionError(
             f"simulator failed in block of paths {start}..{stop - 1}: {exc}", partial=acc
         ) from exc
     finally:
-        stream.close()  # stops the children
+        rows.close()  # stops the children
     return acc
 
 
@@ -848,11 +859,8 @@ class TraceFile:
             if self.max_steps is not None:
                 most = min(most, self.max_steps)
             fork = _fork_context() if most >= FORK_READ_STATES else None
-            if fork is None:
-                yield from _read_chunks(fh, self.max_steps)
-            else:
-                died = "trace reader process exited with code {} before ending its stream"
-                yield from _in_children(fork, _read_chunks, [(fh, self.max_steps)], np.int64, died)
+            died = "trace reader process exited with code {} before ending its stream"
+            yield from _in_children(fork, _read_chunks, [(fh, self.max_steps)], np.int64, died)
 
 
 def _read_chunks(fh, max_steps) -> Iterator[np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_spectrum_rejects_non_reversible_chain():
 def test_spectrum_sorted_descending():
     lam = exact_spectrum(BiasedLineChain(20, 0.7))
     assert np.all(np.diff(lam) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [exact_spectrum, lambda chain: return_probability_curve(chain, 5)],
+    ids=["exact_spectrum", "return_probability_curve"],
+)
+def test_exact_oracles_refuse_a_large_chain_before_building_its_matrix(oracle):
+    # The state count is checked before the matrix is built: 5000 states would take 200 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^exact oracles support at most 2000 states, got 5000$"):
+            oracle(BiasedLineChain(5000, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

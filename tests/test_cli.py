@@ -217,6 +217,24 @@ def test_zero_second_eigenvalue_is_not_skipped_for_its_round_off():
         assert t_r == pytest.approx(1.0)
 
 
+TOO_LARGE = "exact oracle unavailable: exact oracles support at most 2000 states, got 100000"
+
+
+def test_run_on_a_chain_too_large_for_the_exact_oracle_skips_the_comparison(capsys):
+    # Its 100000 x 100000 matrix (74.5 GiB) is never requested.
+    argv = ["run", "--chain", "line", "--size", "100000", "--n", "20000", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert f"exact comparison skipped: {TOO_LARGE}" in out.splitlines()
+
+
+def test_coverage_refuses_a_chain_too_large_for_the_exact_oracle(capsys):
+    argv = ["coverage", "--chain", "line", "--size", "100000", "--n", "20000", "--trials", "200", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"configuration error: coverage study needs the chain's exact eigenvalue: {TOO_LARGE}")
+
+
 def test_run_usp_model(capsys):
     code, out, _ = run_cli(
         capsys,

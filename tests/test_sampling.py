@@ -315,6 +315,93 @@ def test_vectorized_blocks_match_scalar_at_any_worker_count(chain, num_paths, K,
         assert vec.paths_completed == scalar.paths_completed == num_paths
 
 
+class StartFailsAtPath:
+    """Draws ``inner``'s starts, but raises on path ``fail_at``, read from its stream's Philox key."""
+
+    def __init__(self, inner, fail_at):
+        self.inner, self.fail_at = inner, fail_at
+
+    def sample(self, rng):
+        if rng.bit_generator.state["state"]["key"][1] == self.fail_at:
+            raise ValueError(f"path {self.fail_at} failed")
+        return self.inner.sample(rng)
+
+    def pmf(self, x):
+        return self.inner.pmf(x)
+
+    def min_pmf(self):
+        return self.inner.min_pmf()
+
+
+def rows_until_failure(rows):
+    """The rows a block stream yields, and the message of the failure that ends it, if any."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except ValueError as exc:
+        return got, str(exc)
+    return got, None
+
+
+ROW_BLOCK = 16  # the test's own block size, so that a few dozen paths make several blocks
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
+@pytest.mark.parametrize("fails", [False, True], ids=["clean", "failing"])
+@settings(max_examples=10, deadline=None)
+@given(
+    num_paths=st.integers(1, 4 * ROW_BLOCK),
+    K=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    start_weights=st.none() | st.lists(st.integers(1, 9), min_size=20, max_size=20),
+    fail_draw=st.integers(0, 4 * ROW_BLOCK - 1),
+)
+def test_every_block_hands_over_one_row_of_its_path_count_and_counts(
+    vectorized, fails, num_paths, K, seed, start_weights, fail_draw
+):
+    # A row is the paths a block completed, then its K counts, in the
+    # accumulator's dtype; uniform starts count integers, and unequal integer
+    # weights make a non-dyadic start law whose sums are floats.
+    fail_at = fail_draw % num_paths if fails else None
+    chain = BiasedLineChain(20, 0.7)
+    if start_weights is None:
+        initial, weight, dtype = UniformSampler(20), None, np.int64
+    else:
+        initial = TabularSampler(np.array(start_weights, float) / sum(start_weights))
+        weight, dtype = (lambda x0: initial.min_pmf() / initial.pmf(x0)), np.float64
+    cfg = UcpiConfig(20, num_paths, K, 0.1)
+    oracle = chain if vectorized else ScalarOnly(chain)
+    engine = RtfEngine(oracle, initial if fail_at is None else StartFailsAtPath(initial, fail_at), cfg, seed)
+    collect_block = sampling._collect_block_vectorized if vectorized else sampling._collect_block_scalar
+    blocks = [(start, min(start + ROW_BLOCK, num_paths)) for start in range(0, num_paths, ROW_BLOCK)]
+    rows, failure = rows_until_failure(sampling._block_counts(collect_block, engine, weight, blocks))
+
+    failing = None if fail_at is None else fail_at // ROW_BLOCK
+    assert (failure is None) == (failing is None)
+    # A vectorized block hands over all its paths or none; a scalar one those before the failing path.
+    assert len(rows) == (len(blocks) if failing is None else failing + (not vectorized))
+    for b, row in enumerate(rows):
+        start, stop = blocks[b]
+        assert row.shape == (K + 1,) and row.dtype == dtype
+        assert row[0] == (fail_at - start if b == failing else stop - start)
+        assert np.all(0 <= row[1:]) and np.all(row[1:] <= row[0])
+
+    workers = min(2, len(blocks))
+    jobs = [(collect_block, engine, weight, blocks[c::workers]) for c in range(workers)]
+    died = "child exited with code {} before ending its stream"
+    forked, forked_failure = rows_until_failure(
+        sampling._in_children(sampling._fork_context(), sampling._block_counts, jobs, dtype, died)
+    )
+    # Through the first short row the streams agree.  After it the other child
+    # may send the next block, or end cleanly so that the short block's
+    # failure is never read, which is why _collect keeps scalar blocks serial.
+    assert [row.tolist() for row in forked[: len(rows)]] == [row.tolist() for row in rows]
+    if vectorized or failure is None:
+        assert forked_failure == failure and len(forked) == len(rows)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("scalar", [False, True])
 def test_oracle_of_another_state_count_is_refused_before_any_path(scalar):
     # Unchecked, the vectorized kernel clamps a start of 15 to state 9 while
