@@ -630,6 +630,33 @@ def test_dead_child_keeps_the_blocks_it_sent():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("num_paths", [2 * BLOCK_SIZE, 3000])
+def test_child_that_exits_after_its_last_block_raises_with_every_path(monkeypatch, num_paths):
+    chain = BiasedLineChain(20, 0.7)
+    cfg = UcpiConfig(20, num_paths, 5, 0.1)
+    parent, block_counts = os.getpid(), sampling._block_counts
+
+    def exit_after_last_row(*args):
+        yield from block_counts(*args)
+        if os.getpid() != parent:  # never end the test process itself
+            os._exit(7)
+
+    # Every child sends all its rows, so a pipe ends once every path is added.
+    monkeypatch.setattr(sampling, "_block_counts", exit_after_last_row)
+    message = f"exited after its last block, all {num_paths} paths added: .*code 7"
+    faulthandler.dump_traceback_later(60, exit=True)  # a hang fails the run instead of stalling it
+    try:
+        with pytest.raises(CollectionError, match=message) as exc_info:
+            rtf_collect(make_engine(chain, cfg, 5, workers=2))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    monkeypatch.undo()
+    clean = rtf_collect(make_engine(chain, cfg, 5))
+    assert exc_info.value.partial.paths_completed == clean.paths_completed == num_paths
+    assert np.array_equal(exc_info.value.partial.counts, clean.counts)
+    assert multiprocessing.active_children() == []
+
+
 def test_child_killed_by_a_signal_raises_with_its_exit_code():
     chain = BiasedLineChain(20, 0.7)
     cfg = UcpiConfig(20, 3000, 5, 0.1)  # the first child runs blocks 0 and 2, the short third fails
@@ -899,7 +926,7 @@ LEFTOVER_STATES = {
 }
 
 
-@pytest.mark.parametrize("master_seed", [0, 9, 2**64 + 5, -3])
+@pytest.mark.parametrize("master_seed", [0, 9, 2**63, 2**64 - 1, 2**64 + 5, -3])
 @pytest.mark.parametrize("leftover", sorted(LEFTOVER_STATES))
 def test_reset_stream_draws_exactly_what_path_rng_draws(master_seed, leftover):
     disturb, expected_state = LEFTOVER_STATES[leftover]

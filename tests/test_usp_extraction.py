@@ -296,6 +296,37 @@ def test_usp_sizes_accept_numpy_integers():
     assert usp_collect(engine, np.int32(10)).paths_completed == 10
 
 
+class ChunkSource:
+    """A duck-typed source whose ``chunks()`` yields the given arrays."""
+
+    def __init__(self, *chunks):
+        self._chunks = chunks
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            yield from np.ravel(chunk).tolist()
+
+    def chunks(self):
+        return iter(self._chunks)
+
+
+@pytest.mark.parametrize(
+    "bad, what",
+    [
+        (np.arange(8, dtype=np.int32) % 4, r"int32 array of shape \(8,\)"),
+        (np.arange(7, dtype=np.int32) % 4, r"int32 array of shape \(7,\)"),
+        (np.zeros(8), r"float64 array of shape \(8,\)"),
+        (np.arange(8, dtype=np.uint8) % 4, r"uint8 array of shape \(8,\)"),
+        (np.zeros((4, 2), dtype=np.int64), r"int64 array of shape \(4, 2\)"),
+        ([0, 1, 2], "list"),
+    ],
+)
+def test_a_chunk_that_is_not_1d_int64_is_rejected_naming_its_source_index(bad, what):
+    engine = UspEngine(ChunkSource(np.arange(5, dtype=np.int64) % 4, bad), 3, UniformSampler(4), 3)
+    with pytest.raises(TypeError, match=f"^source chunk at index 5 is {what}, not a 1-D int64 array$"):
+        usp_collect(engine, 10)
+
+
 # ---------------------------------------------------------------------------
 # the trace file reader
 # ---------------------------------------------------------------------------
