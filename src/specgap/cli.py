@@ -30,7 +30,6 @@ import numpy as np
 
 from .chains import (
     BiasedLineChain,
-    SquaredChainOracle,
     TabularSampler,
     UniformSampler,
     exact_spectrum,
@@ -48,6 +47,7 @@ from .sampling import (
     RtfEngine,
     UspEngine,
     _SourceStateError,
+    estimate_nonlazy,
     rtf_collect,
     states_from_file,
     trajectory_from_oracle,
@@ -143,11 +143,10 @@ def _trial_master_seed(seed: int, trial: int) -> int:
 
 def build_chain(spec: ExperimentSpec):
     if spec.chain == "line":
-        if spec.size < 2:
-            raise ConfigError("--size must be >= 2")
-        if not 0.0 < spec.p < 1.0:
-            raise ConfigError("--p must lie strictly between 0 and 1")
-        return BiasedLineChain(size=spec.size, bias=spec.p)
+        try:
+            return BiasedLineChain(size=spec.size, bias=spec.p)
+        except ValueError as exc:
+            raise ConfigError(f"cannot build line chain: {exc}") from exc
     if spec.chain == "regular":
         try:
             return generate_regular_graph(spec.size, spec.d, seed=spec.graph_seed)
@@ -197,7 +196,7 @@ def _exact_values(chain, nonlazy: bool):
             "assumes a lazy chain: use --nonlazy"
         )
     lam_star = max(lam_star, 0.0)
-    t_r = relaxation_upper_bound(min(lam_star, 1.0)) if lam_star < 1.0 else math.inf
+    t_r = relaxation_upper_bound(min(lam_star, 1.0))
     return float(lam_star), float(t_r), None
 
 
@@ -218,9 +217,17 @@ def _load_mu_sampler(path, state_space_size):
 
 
 def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
-    """Collect return counts under the spec's model, finalize them, report the trial."""
+    """Run one seeded estimation under the spec's model and report it.
+
+    USP extracts segments with ``usp_collect`` and finalizes them; a run in
+    which no segment completed reports the uninformative answer.  With
+    ``--nonlazy``, ``estimate_nonlazy`` bounds the two-step chain:
+    ``ell_star`` is its spectral-radius bound, ``raw_ell_star`` the squared
+    chain's bound and ``oracle_calls`` its one-step calls.  Otherwise fresh
+    paths are collected with ``rtf_collect`` and finalized.
+    """
     master = _trial_master_seed(spec.seed, trial_index)
-    usp_fields = {}
+    extra = {}
     if spec.model == "usp":
         if spec.usp_path is not None:
             source = states_from_file(spec.usp_path, max_steps=spec.n)
@@ -237,24 +244,23 @@ def _run_trial(spec, chain, cfg, sampler, trial_index) -> TrialResult:
                 raise ConfigError(f"bad state in trajectory file {spec.usp_path}: {exc}") from exc
             raise ConfigError(f"cannot read trajectory file: {exc}") from exc
         oracle_calls = engine.stats.source_steps_consumed
-        usp_fields = {"segments": acc.paths_completed, "mean_wait": engine.stats.mean_wait}
+        extra = {"segments": acc.paths_completed, "mean_wait": engine.stats.mean_wait}
+        ell_star, argmin_k = 1.0, 0  # the uninformative answer, kept when no segment completed
+        if acc.paths_completed > 0:
+            est = finalize_estimate(acc, cfg)
+            ell_star, argmin_k = est.ell_star, est.argmin_k
+    elif spec.nonlazy:
+        res = estimate_nonlazy(chain, cfg, sampler, master)
+        ell_star, argmin_k = res.spectral_radius_bound, res.squared_estimate.argmin_k
+        oracle_calls = res.inner_calls
+        extra = {"raw_ell_star": res.squared_estimate.ell_star}
     else:
-        oracle = SquaredChainOracle(chain) if spec.nonlazy else chain
-        acc = rtf_collect(RtfEngine(oracle, sampler, cfg, master))
-        oracle_calls = cfg.num_paths * cfg.max_path_length * (2 if spec.nonlazy else 1)
-    if acc.paths_completed == 0:  # no segment completed: the uninformative answer
-        raw_ell_star, argmin_k = 1.0, 0
-    else:
-        est = finalize_estimate(acc, cfg)
-        raw_ell_star, argmin_k = est.ell_star, est.argmin_k
-    # The two-step chain bounds the squared spectral radius.
-    ell_star = math.sqrt(raw_ell_star) if spec.nonlazy else raw_ell_star
+        est = finalize_estimate(rtf_collect(RtfEngine(chain, sampler, cfg, master)), cfg)
+        ell_star, argmin_k = est.ell_star, est.argmin_k
+        oracle_calls = cfg.num_paths * cfg.max_path_length
     return TrialResult(
-        trial=trial_index, seed=master, ell_star=ell_star,
-        t_r_upper=relaxation_upper_bound(ell_star), argmin_k=argmin_k,
-        informative=ell_star < 1.0,
-        oracle_calls=oracle_calls,
-        raw_ell_star=raw_ell_star if spec.nonlazy else None, **usp_fields,
+        trial=trial_index, seed=master, ell_star=ell_star, t_r_upper=relaxation_upper_bound(ell_star),
+        argmin_k=argmin_k, informative=ell_star < 1.0, oracle_calls=oracle_calls, **extra,
     )
 
 

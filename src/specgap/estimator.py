@@ -118,7 +118,7 @@ class WeightedReturnAccumulator(ReturnCountAccumulator):
     @classmethod
     def empty(cls, max_path_length: int, w_max: float) -> "WeightedReturnAccumulator":
         _require_integer("max_path_length", max_path_length, 1)
-        if w_max < 1.0:
+        if not w_max >= 1.0:
             raise ValueError("w_max = 1/min_pmf must be >= 1")
         return cls(np.zeros(max_path_length), w_max)
 
@@ -185,8 +185,7 @@ def confidence_upper_bound(m: float, num_paths: int, confidence: float) -> float
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m}")
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
+    _require_integer("num_paths", num_paths, 1)
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
 
@@ -231,9 +230,8 @@ def plugin_bound(u: float, k: int, state_space_size: int) -> float:
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if state_space_size < 1:
+    _require_integer("k", k, 1)
+    if not state_space_size >= 1:
         raise ValueError("state_space_size must be >= 1")
     base = state_space_size * u - 1.0
     if base <= 0.0:
@@ -260,6 +258,7 @@ def finalize_estimate(acc: ReturnCountAccumulator, cfg: UcpiConfig) -> UcpiEstim
         raise ValueError(
             f"accumulator tracks {acc.max_path_length} path lengths, config expects {K}"
         )
+    _require_integer("paths_completed", I)
     if I < 1:
         raise ValueError("accumulator holds no completed path")
     counts = np.asarray(acc.counts)
@@ -344,13 +343,15 @@ class TheoryDiagnostics:
 def theory_diagnostics(spectrum, cfg: UcpiConfig) -> TheoryDiagnostics:
     """Evaluate the error decomposition for a chain with known spectrum.
 
-    The spectrum must be sorted descending with leading eigenvalue 1 and
-    all eigenvalues in [0, 1] (lazy reversible chain).  m_k is computed
-    exactly as the k-th moment mean of the spectrum.
+    The spectrum must be finite and sorted descending, with leading
+    eigenvalue 1 and all eigenvalues in [0, 1] (lazy reversible chain).
+    m_k is computed exactly as the k-th moment mean of the spectrum.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or len(lam) != cfg.state_space_size:
         raise ValueError("spectrum length must equal cfg.state_space_size")
+    if not np.isfinite(lam).all():
+        raise ValueError("spectrum must be finite")
     if np.any(np.diff(lam) > 1e-12):
         raise ValueError("spectrum must be sorted in descending order")
     if abs(lam[0] - 1.0) > 1e-8:

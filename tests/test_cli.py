@@ -345,6 +345,20 @@ def test_option_of_another_model_or_chain_exits_two(capsys, argv, message):
     assert err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--p", "1.5"], "cannot build line chain: bias must lie strictly between 0 and 1"),
+        (["--size", "1"], "cannot build line chain: size must be >= 2"),
+    ],
+)
+def test_line_chain_errors_quote_the_chain(capsys, option, message):
+    # BiasedLineChain words its own checks; the CLI restates none of them.
+    code, out, err = run_cli(capsys, ["run", "--chain", "line", *option, "--n", "20000"])
+    assert code == 2 and out == ""
+    assert err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("content", [None, "0\n1\nx\n2\n"])
 def test_bad_usp_path_exits_two(tmp_path, capsys, content):
     # A missing file, and a malformed one (line 3 is not a state).

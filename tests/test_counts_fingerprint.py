@@ -16,7 +16,6 @@ from specgap import sampling
 from specgap.chains import (
     BiasedLineChain,
     DenseMatrixChain,
-    TabularSampler,
     UniformSampler,
     generate_regular_graph,
 )
@@ -32,6 +31,8 @@ from specgap.sampling import (
     weighted_collect,
 )
 
+from helpers import ScalarOnly, odd_heavy
+
 PATHS = 2100  # three blocks, the last one partial
 LENGTH = 30
 SEED = 0
@@ -41,28 +42,10 @@ GRAPH = generate_regular_graph(40, 3, seed=0)
 FLIP_HEAVY = DenseMatrixChain([[0.1, 0.6, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
 
 
-class ScalarOnly:
-    """Hides the vectorized kernel so the engines take the next_state path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def state_space_size(self):
-        return self.inner.state_space_size()
-
-    def next_state(self, x, rng):
-        return self.inner.next_state(x, rng)
-
-
 def sha256(counts) -> str:
     counts = np.asarray(counts)
     dtype = "<i8" if counts.dtype.kind in "iu" else "<f8"
     return hashlib.sha256(counts.astype(dtype).tobytes()).hexdigest()
-
-
-def odd_heavy(size):
-    weights = np.where(np.arange(size) % 2 == 1, 2.0, 1.0)
-    return TabularSampler(weights / weights.sum())
 
 
 def rtf_counts(oracle, workers=1):

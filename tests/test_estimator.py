@@ -253,6 +253,8 @@ def test_plugin_domain_errors():
         plugin_bound(1.2, 1, 5)
     with pytest.raises(ValueError):
         plugin_bound(0.5, 0, 5)
+    with pytest.raises(ValueError, match="state_space_size"):
+        plugin_bound(0.5, 1, float("nan"))  # used to return nan
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +414,13 @@ def test_finalize_shape_and_count_errors():
         finalize_estimate(make_acc([41, 0, 0, 0, 0, 0], 40), cfg)  # count > paths
 
 
+@pytest.mark.parametrize("paths", [10.5, True])
+def test_finalize_takes_an_integer_path_count(paths):
+    # I = 10.5 used to finalize, and True counted as one path.
+    with pytest.raises(TypeError, match=f"^paths_completed must be an integer, not {re.escape(repr(paths))}$"):
+        finalize_estimate(make_acc([1, 0, 0], paths), UcpiConfig(5, 10, 3, 0.1))
+
+
 def test_finalize_is_pure():
     cfg = UcpiConfig(8, 500, 4, 0.2)
     acc = make_acc([321, 250, 199, 180], 500)
@@ -523,6 +532,10 @@ def test_diagnostics_input_validation():
         theory_diagnostics([1.0, 0.5, -0.3], cfg)  # outside [0, 1]
     with pytest.raises(ValueError):
         theory_diagnostics([1.0, 0.5], cfg)  # wrong length
+    # NaN passed every comparison: lambda2 = nan, or even a NaN leading eigenvalue.
+    for spectrum in ([1.0, math.nan, 0.2], [math.nan, 0.5, 0.2]):
+        with pytest.raises(ValueError, match="finite"):
+            theory_diagnostics(spectrum, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +566,8 @@ COUNT_DOORS = [
     pytest.param("size", 2, lambda v: line_stationary(v, 0.5), id="line_stationary"),
     pytest.param("max_k", 1, lambda v: return_probability_curve(LINE3, v), id="return_probability_curve"),
     pytest.param("max_path_length", 1, ReturnCountAccumulator.empty, id="ReturnCountAccumulator.empty"),
+    pytest.param("num_paths", 1, lambda v: confidence_upper_bound(0.5, v, 0.1), id="confidence_upper_bound"),
+    pytest.param("k", 1, lambda v: plugin_bound(0.3, v, 10), id="plugin_bound"),
     pytest.param(
         "max_path_length", 1, lambda v: WeightedReturnAccumulator.empty(v, 2.0), id="WeightedReturnAccumulator.empty"
     ),

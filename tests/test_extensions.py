@@ -31,6 +31,8 @@ from specgap.sampling import (
     weighted_collect,
 )
 
+from helpers import ScalarOnly, odd_heavy
+
 FLIP_HEAVY = DenseMatrixChain([[0.1, 0.9], [0.9, 0.1]])  # eigenvalues 1, -0.8
 TWO_STATE = DenseMatrixChain([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1, 0.5
 
@@ -90,16 +92,6 @@ def test_squared_oracle_three_state_vectorized_vs_square():
 
 
 def test_squared_oracle_demotes_to_scalar_with_scalar_inner():
-    class ScalarOnly:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def state_space_size(self):
-            return self.inner.state_space_size()
-
-        def next_state(self, x, rng):
-            return self.inner.next_state(x, rng)
-
     squared = SquaredChainOracle(ScalarOnly(TWO_STATE))
     assert getattr(squared, "uniforms_per_step", None) is None
 
@@ -148,6 +140,8 @@ def test_weighted_accumulator_scaled_counts_bounds():
         WeightedReturnAccumulator.empty(0, w_max=2.0)
     with pytest.raises(ValueError):
         WeightedReturnAccumulator.empty(3, w_max=0.5)
+    with pytest.raises(ValueError, match="w_max"):
+        WeightedReturnAccumulator.empty(3, w_max=float("nan"))  # used to fail later, in finalize
 
 
 def test_weighted_uniform_reduces_to_plain_counts():
@@ -409,11 +403,6 @@ def test_finalize_weighted_rejects_scaled_sums_above_paths():
     acc = WeightedReturnAccumulator(np.array([3618.0, 3316.0, 2994.0, 2784.0]), 2.0, 2000)
     with pytest.raises(ValueError, match="must lie in"):
         finalize_weighted(acc, UcpiConfig(4, 2000, 4, 0.1))
-
-
-def odd_heavy(size):
-    weights = np.where(np.arange(size) % 2 == 1, 2.0, 1.0)
-    return TabularSampler(weights / weights.sum())
 
 
 def test_weighted_scalar_failure_after_first_block_keeps_partial_sums():

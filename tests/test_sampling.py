@@ -33,20 +33,9 @@ from specgap.sampling import (
     usp_collect,
 )
 
+from helpers import FixedTargets, ScalarOnly
+
 TWO_STATE = DenseMatrixChain([[0.75, 0.25], [0.25, 0.75]])
-
-
-class ScalarOnly:
-    """Hides the vectorized kernel so the engine takes the next_state path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def state_space_size(self):
-        return self.inner.state_space_size()
-
-    def next_state(self, x, rng):
-        return self.inner.next_state(x, rng)
 
 
 class CountingOracle(ScalarOnly):
@@ -57,23 +46,6 @@ class CountingOracle(ScalarOnly):
     def next_state(self, x, rng):
         self.calls += 1
         return super().next_state(x, rng)
-
-
-class FixedTargets:
-    """Deterministic target sequence standing in for the uniform sampler on ``size`` states."""
-
-    def __init__(self, targets, size=10):
-        self.targets = iter(targets)
-        self.size = size
-
-    def sample(self, rng):
-        return next(self.targets)
-
-    def pmf(self, x):
-        return 1.0 / self.size
-
-    def min_pmf(self):
-        return 1.0 / self.size
 
 
 class KernelFailsOnShortBlock:

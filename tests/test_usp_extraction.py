@@ -35,6 +35,8 @@ from specgap.sampling import (
     usp_collect,
 )
 
+from helpers import FixedTargets
+
 
 def reference_usp_collect(engine, num_segments):
     """Extract segments one source state at a time (the reference)."""
@@ -78,23 +80,6 @@ def reference_usp_collect(engine, num_segments):
 
     stats.exhausted = True
     return acc
-
-
-class FixedTargets:
-    """Deterministic target sequence standing in for the uniform sampler on ``size`` states."""
-
-    def __init__(self, targets, size=10):
-        self.targets = iter(targets)
-        self.size = size
-
-    def sample(self, rng):
-        return next(self.targets)
-
-    def pmf(self, x):
-        return 1.0 / self.size
-
-    def min_pmf(self):
-        return 1.0 / self.size
 
 
 def extract(collect, source, K, sampler, num_segments, seed=0):
