@@ -73,7 +73,16 @@ class InitialSampler(Protocol):
 
 @dataclass(frozen=True)
 class UniformSampler:
-    """Uniform start states on {0, ..., size-1}."""
+    """Uniform start states on {0, ..., size-1}.
+
+    For ``2 <= size <= 2**32``, ``sample``'s draw is a function of its
+    stream's first 64-bit word, unless both halves of that word are
+    rejected (``sample_from_first_words``), so a vectorized block draws one
+    raw word per path and maps the block's words at once.  Size 1 draws
+    nothing and larger sizes draw whole 64-bit words, so those blocks call
+    ``sample`` per path, as they do for any other sampler, subclasses of
+    this one included.
+    """
 
     size: int
 
@@ -82,6 +91,32 @@ class UniformSampler:
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.size))
+
+    def sample_from_first_words(self, words: np.ndarray) -> np.ndarray:
+        """Per fresh stream with first 64-bit word in ``words``, the start ``sample`` draws, or -1.
+
+        For ``2 <= size <= 2**32``, numpy maps 32-bit draws to [0, size)
+        with Lemire's multiply-and-reject method ("Fast Random Integer
+        Generation in an Interval", ACM TOMACS 2019): a draw ``r`` gives
+        ``(r * size) >> 32`` unless ``(r * size) mod 2**32`` lies below
+        ``(2**32 - size) % size``, which rejects it.  A fresh stream's first
+        32-bit draw is the low half of its first 64-bit word, and its second
+        draw is the cached high half.  Both products fit in uint64, so the
+        ``uint64`` ``words`` map in a few array operations.  A word whose two
+        halves are both rejected, with probability at most
+        ``((2**32 % size) / 2**32)**2``, gives -1: ``sample`` reads a third
+        draw from the next word.  ``random`` reads whole words and skips the
+        cached half, so the doubles after the start are the same either way.
+        """
+        n = int(self.size)  # a numpy integer size would overflow below
+        if not 2 <= n <= 2**32:
+            raise ValueError(f"size {n} does not draw its start from one 64-bit word")
+        size, low, threshold = np.uint64(n), np.uint64(2**32 - 1), np.uint64((2**32 - n) % n)
+        first, second = (words & low) * size, (words >> np.uint64(32)) * size
+        m = np.where((first & low) >= threshold, first, second)
+        starts = (m >> np.uint64(32)).astype(np.int64)
+        starts[(m & low) < threshold] = -1
+        return starts
 
     def pmf(self, x: int) -> float:
         return 1.0 / self.size if 0 <= x < self.size else 0.0

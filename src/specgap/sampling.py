@@ -21,7 +21,11 @@ chain is stepped scalar or vectorized.  One Philox generator resets its key
 and counter for every path instead of building a generator per path.  The
 ``rng`` handed to ``InitialSampler.sample`` and
 ``TransitionOracle.next_state`` is therefore valid only while that path
-runs and must not be kept.
+runs and must not be kept.  A vectorized block draws each path's start and
+then its K uniforms; under a plain ``UniformSampler`` of 2 to 2**32 states
+it draws the path's first 64-bit word raw and maps the block's words to
+starts at once, as ``sample`` would
+(``UniformSampler.sample_from_first_words``).
 
 Block protocol.  Paths run in fixed-size blocks, and a block is a
 generator of rows that raises the simulator's failure.  A row is one
@@ -116,7 +120,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .chains import InitialSampler, SquaredChainOracle, TransitionOracle
+from .chains import InitialSampler, SquaredChainOracle, TransitionOracle, UniformSampler
 from .estimator import (
     ReturnCountAccumulator,
     UcpiConfig,
@@ -185,7 +189,9 @@ class _PathStreams:
     emptying the output buffers makes ``self(j)`` draw exactly what
     ``path_rng(master_seed, j)`` draws.  Calling it again invalidates the
     generator it returned before, so one instance serves paths that run
-    one after another, such as those of one collection.
+    one after another, such as those of one collection.  ``random_raw``
+    draws the current stream's next 64-bit word, which a vectorized block
+    turns into a uniform start without ``Generator.integers``.
 
     The state holds Python ints, not uint64 arrays: numpy's setter reads
     its ten words one item at a time, and assigning the state took 381 ns
@@ -205,6 +211,7 @@ class _PathStreams:
         }
         self._bit_generator = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         self._rng = np.random.Generator(self._bit_generator)
+        self.random_raw = self._bit_generator.random_raw
 
     def __call__(self, stream: int) -> np.random.Generator:
         # `_state` holds `_key` itself, so this re-keys the state set below.
@@ -257,16 +264,33 @@ def _check_range(states, n, what):
 
 
 def _collect_block_vectorized(engine, weight, streams, start, stop):
-    """Yield the row of paths ``start..stop-1`` once; raises what the simulator raises."""
+    """Yield the row of paths ``start..stop-1`` once; raises what the simulator raises.
+
+    Each path's K uniforms follow its start on its stream.  A plain
+    ``UniformSampler`` start comes from the path's first word (see the
+    module docstring), and a path that word cannot place is redrawn with
+    ``sample``; any other start law calls ``sample`` for every path.
+    """
     K, n = engine.config.max_path_length, engine.config.state_space_size
     ups = engine.oracle.uniforms_per_step
-    x0 = np.empty(stop - start, dtype=np.int64)
     uniforms = np.empty((stop - start, K * ups))
-    sample = engine.initial.sample
-    for i, u in enumerate(uniforms):
+    initial = engine.initial
+    # Exact type: a subclass may override `sample`, which the words would bypass.
+    if type(initial) is UniformSampler and 2 <= initial.size <= 2**32:
+        words, random_raw = np.empty(stop - start, dtype=np.uint64), streams.random_raw
+        for i, u in enumerate(uniforms):
+            rng = streams(start + i)
+            words[i] = random_raw()
+            rng.random(out=u)
+        x0 = initial.sample_from_first_words(words)
+        redraw = np.flatnonzero(x0 < 0).tolist()  # paths whose start needs a later word
+    else:
+        x0, redraw = np.empty(stop - start, dtype=np.int64), range(stop - start)
+    sample = initial.sample
+    for i in redraw:
         rng = streams(start + i)
         x0[i] = operator.index(sample(rng))
-        rng.random(out=u)
+        rng.random(out=uniforms[i])
     _check_range(x0, n, "start state")
     weights = None if weight is None else np.fromiter(map(weight, x0.tolist()), float, len(x0))
     row = np.empty(K + 1, dtype=np.int64 if weight is None else float)

@@ -211,13 +211,38 @@ def test_exact_call_budget_scalar_path():
     assert oracle.calls == 40 * 9
 
 
-def test_scalar_and_vectorized_paths_agree_bitwise():
-    cfg = UcpiConfig(20, 2600, 11, 0.1)  # spans multiple blocks
-    chain = BiasedLineChain(20, 0.7)
-    vec = rtf_collect(make_engine(chain, cfg, 5))
-    sca = rtf_collect(RtfEngine(ScalarOnly(chain), UniformSampler(20), cfg, 5))
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "size",
+    # 2**31 + 1: starts from a word's low half, its high half and a redraw;
+    # 2**32 + 1: starts drawn path by path, from 64-bit words
+    [20, 2**31 + 1, 2**32 + 1],
+)
+def test_scalar_and_vectorized_paths_agree_bitwise(size, workers):
+    cfg = UcpiConfig(size, 2600, 11, 0.1)  # spans multiple blocks
+    chain = BiasedLineChain(size, 0.7)
+    vec = rtf_collect(make_engine(chain, cfg, 5, workers))
+    sca = rtf_collect(RtfEngine(ScalarOnly(chain), UniformSampler(size), cfg, 5))
     assert np.array_equal(vec.counts, sca.counts)
     assert vec.paths_completed == sca.paths_completed == 2600
+
+
+def test_uniform_sampler_subclass_draws_every_start_itself():
+    class Counting(UniformSampler):
+        def __init__(self, size):
+            super().__init__(size)
+            self.calls = 0
+
+        def sample(self, rng):
+            self.calls += 1
+            return super().sample(rng)
+
+    cfg = UcpiConfig(20, 1500, 11, 0.1)  # two blocks
+    chain, sampler = BiasedLineChain(20, 0.7), Counting(20)
+    vec = rtf_collect(RtfEngine(chain, sampler, cfg, 5))
+    assert sampler.calls == 1500  # not the raw-word starts of a plain UniformSampler
+    sca = rtf_collect(RtfEngine(ScalarOnly(chain), UniformSampler(20), cfg, 5))
+    assert np.array_equal(vec.counts, sca.counts)
 
 
 def test_worker_counts_do_not_change_counts():
@@ -909,6 +934,35 @@ def test_reset_stream_draws_exactly_what_path_rng_draws(master_seed, leftover):
         state = rng.bit_generator.state
         assert {name: state[name] for name in expected_state} == expected_state
         assert draw_like_a_path(streams(j)) == draw_like_a_path(path_rng(master_seed, j))
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize(
+    "size", [2, 3, 20, np.int32(20), 10**7, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32]
+)
+def test_starts_from_first_words_are_what_sample_draws(size, master_seed):
+    paths = range(256)
+    words = np.array([path_rng(master_seed, j).bit_generator.random_raw() for j in paths], dtype=np.uint64)
+    starts = UniformSampler(size).sample_from_first_words(words)
+    assert starts.dtype == np.int64
+    for j, start in zip(paths, starts.tolist()):
+        rng = path_rng(master_seed, j)
+        drawn = UniformSampler(size).sample(rng)
+        second_word = path_rng(master_seed, j).bit_generator.random_raw(2)[1]
+        if start >= 0:
+            assert start == drawn
+        # `sample` reads past the first word exactly where the rule gives -1
+        assert (rng.bit_generator.random_raw() == second_word) == (start >= 0)
+    if size == 2**31 + 1:
+        low_rejected = [(w % 2**32) * size % 2**32 < (2**32 - size) % size for w in words.tolist()]
+        assert any(low and start >= 0 for low, start in zip(low_rejected, starts.tolist()))  # high half
+        assert -1 in starts.tolist()  # redraw
+
+
+@pytest.mark.parametrize("size", [1, 2**32 + 1])
+def test_starts_from_first_words_refuse_sizes_that_draw_otherwise(size):
+    with pytest.raises(ValueError, match="one 64-bit word"):
+        UniformSampler(size).sample_from_first_words(np.zeros(3, dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
