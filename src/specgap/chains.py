@@ -5,7 +5,9 @@ Every chain exposes the black-box interface (``state_space_size()`` /
 chains additionally expose a vectorized kernel ``step_with_uniforms`` that
 advances a whole batch of states from pre-drawn uniforms (exactly
 ``uniforms_per_step`` per transition, consumed in step order, so scalar and
-vectorized simulation see the same random stream).
+vectorized simulation see the same random stream).  The line chain's
+kernel holds no table; the graph chain's holds one int64 table of
+``2d + 1`` columns per state, built with the chain.
 
 ``SquaredChainOracle`` wraps a chain as its two-step chain, whose
 eigenvalues are the squares of the chain's own (``sampling.estimate_nonlazy``).
@@ -234,8 +236,18 @@ class RegularGraphChain:
     """Lazy walk on a simple connected d-regular graph.
 
     Stays put with probability 1/2, otherwise moves to one of the d
-    neighbors uniformly.  ``neighbors`` is a (size, degree) array; ``seed``
-    records how the graph was generated.
+    neighbors uniformly.  ``neighbors`` is a (size, degree) integer array
+    with entries in [0, size); ``seed`` records how the graph was
+    generated.  The kernel does not need the graph to be simple or
+    symmetric, so any such table is accepted.
+
+    The chain copies ``neighbors`` once, into a C-contiguous int64 table of
+    ``2 * degree + 1`` columns: row x holds x in columns 0..d-1 (the hold),
+    ``neighbors[x]`` in columns d..2d-1 and ``neighbors[x, d-1]`` again in
+    column 2d.  Afterwards ``neighbors`` is a read-only view of columns
+    d..2d-1, so ``next_state``, ``transition_matrix`` and the kernel read
+    the same entries; ``dataclasses.replace(chain, neighbors=other)``
+    builds a chain on another table.
     """
 
     size: int
@@ -244,6 +256,31 @@ class RegularGraphChain:
     seed: int = 0
 
     uniforms_per_step = 1
+
+    def __post_init__(self):
+        _require_integer("size", self.size, 1)
+        _require_integer("degree", self.degree, 1)
+        neighbors = np.asarray(self.neighbors)
+        if neighbors.dtype.kind not in "iu":
+            raise TypeError(f"neighbors must be an integer array, not {neighbors.dtype}")
+        size, d = int(self.size), int(self.degree)
+        if neighbors.shape != (size, d):
+            raise ValueError(f"neighbors must have shape ({size}, {d}), not {neighbors.shape}")
+        outside = np.argwhere((neighbors < 0) | (neighbors >= size))
+        if len(outside):
+            x, j = outside[0]
+            raise ValueError(f"neighbors[{x}, {j}] = {neighbors[x, j]} lies outside [0, {size})")
+        table = np.empty((size, 2 * d + 1), dtype=np.int64)
+        table[:, :d] = np.arange(size)[:, None]
+        table[:, d : 2 * d] = neighbors
+        table[:, 2 * d] = neighbors[:, d - 1]
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "neighbors", table[:, d : 2 * d])
+
+    def __reduce__(self):
+        # A copy or a pickle rebuilds the table, so its neighbors stay a view of it.
+        return type(self), (self.size, self.degree, self.neighbors, self.seed)
 
     def state_space_size(self) -> int:
         return self.size
@@ -258,15 +295,28 @@ class RegularGraphChain:
     def step_with_uniforms(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
         """``next_state`` on every state, bit for bit, without writing ``xs``.
 
-        Every state gathers its neighbor ``j`` (0 for a draw below 1/2) from
-        the flattened table in one pass, and the draws below 1/2 keep their
-        state.  Flattening the C-contiguous table is a view, not a copy.
+        Each state takes column ``floor((u - 0.5) * 2d) + d`` of its table
+        row in one gather.  That is ``next_state``'s choice:
+
+        - ``u - 0.5`` is exact for u in [0.25, 1] (Sterbenz) and doubling
+          is exact, so ``(u - 0.5) * (2.0 * d)`` rounds the same real
+          number once, as ``(u - 0.5) * 2.0 * d`` does.
+        - For u >= 1/2 the product t is at least 0, so ``floor`` truncates
+          as ``int()`` does; t < d for u < 1, and u = 1.0 lands in column
+          2d, which repeats neighbour d - 1, where ``next_state`` clamps.
+        - For u < 1/2, ``u - 0.5`` is a nonzero difference of two distinct
+          doubles, so t lies in [-d, 0) and never rounds to 0: ``floor``
+          lands in the hold columns 0..d-1.  Truncation would send t in
+          (-1, 0) to neighbour 0.
         """
-        u = us[:, 0]
-        j = np.minimum(((u - 0.5) * 2.0 * self.degree).astype(np.int64), self.degree - 1)
-        np.maximum(j, 0, out=j)
-        j += xs * self.degree
-        return np.where(u >= 0.5, self.neighbors.reshape(-1).take(j), xs)
+        d = self.degree
+        t = us[:, 0] - 0.5
+        t *= 2.0 * d
+        np.floor(t, out=t)
+        j = xs * (2 * d + 1)
+        j += t.astype(np.int64)
+        j += d
+        return self._table.take(j)
 
     def stationary_distribution(self) -> np.ndarray:
         return np.full(self.size, 1.0 / self.size)

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -305,13 +309,54 @@ def test_line_kernel_equals_its_scalar_rule(size, bias, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 30), st.sampled_from([1, 2]) | st.integers(1, 8), st.sampled_from("CF"), st.integers(0, 2**32))
+@given(st.integers(2, 30), st.sampled_from([1, 2, 9, 63]) | st.integers(1, 64), st.sampled_from("CF"), st.integers(0, 2**32))
 def test_graph_kernel_equals_its_scalar_rule(size, degree, order, seed):
     # Any (size, degree) table will do: the kernel does not rely on the graph being simple.
     table = np.random.default_rng(seed).integers(0, size, (size, degree))
     chain = RegularGraphChain(size, degree, np.asarray(table, order=order))
     xs, us = kernel_inputs(size, [0.5 + i / (2.0 * degree) for i in range(1, degree)], seed)
+    # u = 1.0 is past every draw, where next_state clamps to the last neighbour.
+    xs = np.concatenate([xs, np.arange(size)])
+    us = np.concatenate([us, np.ones((size, 1))])
     assert_kernel_is_its_scalar_rule(chain, xs, us)
+
+
+def test_graph_neighbors_are_read_only_and_replace_rebuilds_the_table():
+    table = np.array([[1, 2], [0, 2], [0, 1]])
+    chain = RegularGraphChain(3, 2, table)
+    table[0] = 0  # the chain holds its own copy
+    with pytest.raises(ValueError, match="read-only"):
+        chain.neighbors[0, 0] = 0
+    xs, us = np.array([0, 1, 2]), np.full((3, 1), 0.75)
+    assert chain.step_with_uniforms(xs, us).tolist() == [2, 2, 1]
+    other = dataclasses.replace(chain, neighbors=[[2, 1], [2, 0], [1, 0]])
+    assert other.step_with_uniforms(xs, us).tolist() == [1, 0, 0]
+    assert other.neighbors.tolist() == [[2, 1], [2, 0], [1, 0]]
+    assert other.transition_matrix().tolist() == chain.transition_matrix().tolist()
+    for twin in (copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
+        with pytest.raises(ValueError, match="read-only"):
+            twin.neighbors[0, 0] = 0
+        assert twin.step_with_uniforms(xs, us).tolist() == [2, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "size, degree, neighbors, error, message",
+    [
+        (4.0, 2, [[1, 2]] * 4, TypeError, "size must be an integer, not 4.0"),
+        (4, True, [[1]] * 4, TypeError, "degree must be an integer, not True"),
+        (4, 0, np.zeros((4, 0), dtype=int), ValueError, "degree must be >= 1"),
+        (4, 2, [[1.0, 2.0]] * 4, TypeError, "neighbors must be an integer array, not float64"),
+        (4, 2, [[1], [0], [0], [1]], ValueError, "neighbors must have shape (4, 2), not (4, 1)"),
+        (4, 2, [[1, 2], [0, 3]], ValueError, "neighbors must have shape (4, 2), not (2, 2)"),
+        (4, 2, [[1, 2], [0, -1], [0, 1], [1, 2]], ValueError, "neighbors[1, 1] = -1 lies outside [0, 4)"),
+        (4, 2, [[1, 2], [0, 3], [0, 1], [4, 2]], ValueError, "neighbors[3, 0] = 4 lies outside [0, 4)"),
+    ],
+)
+def test_graph_chain_rejects_a_malformed_neighbour_table(size, degree, neighbors, error, message):
+    # Each used to surface only mid-collection: a bare IndexError, float states,
+    # or a final state outside the chain.
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        RegularGraphChain(size, degree, neighbors)
 
 
 # ---------------------------------------------------------------------------

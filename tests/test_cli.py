@@ -625,6 +625,23 @@ def test_run_golden_report(tmp_path, capsys, mode, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[mode, fmt]
 
 
+GRAPH_ARGV = ["run", "--chain", "regular", "--size", "100", "--d", "5", "--n", "500000", "--no-timing"]
+
+# SHA-256 of the report of a lazy walk on a generated 5-regular graph: the
+# graph chain's kernel end to end, where every report above runs the line chain.
+GOLDEN_GRAPH_REPORTS = {
+    "table": "1e7b5e4f6b4e3908a724e95e5db9e98dee55e0dd8b4c05574980c110a12526c0",
+    "json": "ae351d534ae90b3e2700640fadaf0436129a2ee181acf6de110943f947f350f5",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_GRAPH_REPORTS))
+def test_run_golden_graph_report(capsys, fmt):
+    code, out, err = run_cli(capsys, GRAPH_ARGV + ["--format", fmt])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GRAPH_REPORTS[fmt]
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the single-trajectory model, pinned byte for byte
 # ---------------------------------------------------------------------------
