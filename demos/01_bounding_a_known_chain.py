@@ -39,10 +39,11 @@ print(f"\nupper bound on lambda_star: {estimate.ell_star:.5f} (attained at k={es
 print(f"upper bound on t_r:         {estimate.relaxation_upper:.3f}")
 print("the bound sits above the truth with high probability:", estimate.ell_star >= spectrum[1])
 
-# With the exact spectrum in hand, the error decomposition shows where the
-# per-k bias/noise trade-off lands.
+# With the exact spectrum in hand, the error decomposition bounds the
+# per-k bias and noise.  It is a loose envelope: its minimising k need not
+# be the run's argmin_k.
 diag = theory_diagnostics(spectrum, cfg)
 best_k = int(np.argmin(diag.total)) + 1
-print(f"\npredicted best k from the error decomposition: {best_k}")
+print(f"\nk minimising the loose error envelope (not a prediction of argmin_k): {best_k}")
 print("bias term:", np.round(diag.bias, 4))
 print("noise term:", np.round(diag.stddev, 4))

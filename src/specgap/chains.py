@@ -7,7 +7,11 @@ advances a whole batch of states from pre-drawn uniforms (exactly
 ``uniforms_per_step`` per transition, consumed in step order, so scalar and
 vectorized simulation see the same random stream).  The line chain's
 kernel holds no table; the graph chain's holds one int64 table of
-``2d + 1`` columns per state, built with the chain.
+``2d + 1`` columns per state, built with the chain.  The graph and dense
+chains and ``TabularSampler`` each own one read-only copy of their law
+(the table, the matrix and its row cdfs, the pmf and its cdf), which
+their scalar step, kernel, ``pmf`` and exact matrix all read; the line
+chain's law is its frozen size and bias.
 
 ``SquaredChainOracle`` wraps a chain as its two-step chain, whose
 eigenvalues are the squares of the chain's own (``sampling.estimate_nonlazy``).
@@ -21,6 +25,7 @@ everywhere.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -128,10 +133,15 @@ class UniformSampler:
 
 
 class TabularSampler:
-    """Start states drawn from an explicit strictly positive pmf vector."""
+    """Start states drawn from an explicit strictly positive pmf vector.
+
+    The sampler owns a read-only copy of the pmf, ``probabilities``, and of
+    its cdf, so an edit to the caller's array changes neither ``pmf`` nor
+    ``sample``, and ``probabilities`` cannot be written.
+    """
 
     def __init__(self, probabilities):
-        p = np.asarray(probabilities, dtype=float)
+        p = np.array(probabilities, dtype=float)
         if p.ndim != 1 or len(p) < 1:
             raise ValueError("probabilities must be a non-empty vector")
         if not np.isfinite(p).all():
@@ -140,10 +150,12 @@ class TabularSampler:
             raise ValueError("all pmf entries must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1, got {p.sum()}")
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+        p.flags.writeable = cdf.flags.writeable = False
         self.probabilities = p
-        self._cdf = np.cumsum(p)
-        self._cdf[-1] = 1.0
-        self._cdf_list = self._cdf.tolist()
+        self._cdf = cdf
+        self._cdf_list = cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> int:
         """The first state whose cdf exceeds one uniform draw.
@@ -238,15 +250,18 @@ class RegularGraphChain:
     Stays put with probability 1/2, otherwise moves to one of the d
     neighbors uniformly.  ``neighbors`` is a (size, degree) integer array
     with entries in [0, size); ``seed`` records how the graph was
-    generated.  The kernel does not need the graph to be simple or
-    symmetric, so any such table is accepted.
+    generated.  No reader needs the graph to be simple or symmetric, so
+    any such table is accepted: a neighbour listed r times in a row is
+    moved to with probability r/(2d) by ``next_state``, the kernel and
+    ``transition_matrix`` alike.
 
-    The chain copies ``neighbors`` once, into a C-contiguous int64 table of
-    ``2 * degree + 1`` columns: row x holds x in columns 0..d-1 (the hold),
-    ``neighbors[x]`` in columns d..2d-1 and ``neighbors[x, d-1]`` again in
-    column 2d.  Afterwards ``neighbors`` is a read-only view of columns
-    d..2d-1, so ``next_state``, ``transition_matrix`` and the kernel read
-    the same entries; ``dataclasses.replace(chain, neighbors=other)``
+    The chain copies ``neighbors`` once, into a C-contiguous, read-only
+    int64 table of ``2 * degree + 1`` columns: row x holds x in columns
+    0..d-1 (the hold), ``neighbors[x]`` in columns d..2d-1 and
+    ``neighbors[x, d-1]`` again in column 2d.  Afterwards ``neighbors`` is
+    a read-only view of columns d..2d-1.  ``next_state`` and the kernel
+    pick a column by one rule, and ``transition_matrix`` adds 1/(2d) per
+    neighbour column; ``dataclasses.replace(chain, neighbors=other)``
     builds a chain on another table.
     """
 
@@ -286,28 +301,23 @@ class RegularGraphChain:
         return self.size
 
     def next_state(self, x: int, rng: np.random.Generator) -> int:
-        u = rng.random()
-        if u < 0.5:
-            return x
-        j = min(int((u - 0.5) * 2.0 * self.degree), self.degree - 1)
-        return int(self.neighbors[x, j])
+        d = self.degree
+        return int(self._table[x, d + math.floor((rng.random() - 0.5) * (2.0 * d))])
 
     def step_with_uniforms(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
         """``next_state`` on every state, bit for bit, without writing ``xs``.
 
         Each state takes column ``floor((u - 0.5) * 2d) + d`` of its table
-        row in one gather.  That is ``next_state``'s choice:
+        row in one gather, by the same IEEE operations in the same order as
+        ``next_state``.  That column follows the chain's law:
 
-        - ``u - 0.5`` is exact for u in [0.25, 1] (Sterbenz) and doubling
-          is exact, so ``(u - 0.5) * (2.0 * d)`` rounds the same real
-          number once, as ``(u - 0.5) * 2.0 * d`` does.
-        - For u >= 1/2 the product t is at least 0, so ``floor`` truncates
-          as ``int()`` does; t < d for u < 1, and u = 1.0 lands in column
-          2d, which repeats neighbour d - 1, where ``next_state`` clamps.
-        - For u < 1/2, ``u - 0.5`` is a nonzero difference of two distinct
-          doubles, so t lies in [-d, 0) and never rounds to 0: ``floor``
-          lands in the hold columns 0..d-1.  Truncation would send t in
-          (-1, 0) to neighbour 0.
+        - for u < 1/2, ``u - 0.5`` is a nonzero difference of two distinct
+          doubles, so t = ``(u - 0.5) * (2.0 * d)`` lies in [-d, 0) and
+          never rounds to 0: ``floor`` lands in the hold columns 0..d-1
+          (truncation would send t in (-1, 0) to neighbour 0);
+        - for u in [1/2, 1), t lies in [0, d), so column d + j holds
+          neighbour j with probability 1/(2d) each, and u = 1.0 lands in
+          column 2d, which repeats neighbour d - 1.
         """
         d = self.degree
         t = us[:, 0] - 0.5
@@ -324,9 +334,8 @@ class RegularGraphChain:
     def transition_matrix(self) -> np.ndarray:
         P = np.zeros((self.size, self.size))
         np.fill_diagonal(P, 0.5)
-        half_over_d = 0.5 / self.degree
-        for x in range(self.size):
-            P[x, self.neighbors[x]] += half_over_d
+        # add.at adds once per neighbour column, as the kernel steps, so a repeated neighbour adds twice.
+        np.add.at(P, (np.arange(self.size)[:, None], self.neighbors), 0.5 / self.degree)
         return P
 
 
@@ -334,13 +343,18 @@ class DenseMatrixChain:
     """Chain defined by an explicit row-stochastic matrix (verification fixture).
 
     Simulation only needs row-stochasticity; reversibility is checked
-    lazily, when exact oracles are requested.
+    lazily, when exact oracles are requested.  The chain owns a read-only
+    copy of the matrix, ``matrix``, and of its row cdfs: ``next_state``,
+    the kernel and ``transition_matrix()``, which returns ``matrix``
+    itself, read them alone, so an edit to the caller's array reaches
+    none of them.  The stationary distribution, computed once, is
+    read-only too.
     """
 
     uniforms_per_step = 1
 
     def __init__(self, matrix):
-        P = np.asarray(matrix, dtype=float)
+        P = np.array(matrix, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
             raise ValueError("matrix must be square and non-empty")
         if not np.isfinite(P).all():
@@ -350,9 +364,11 @@ class DenseMatrixChain:
         rowsum_err = np.abs(P.sum(axis=1) - 1.0).max()
         if rowsum_err > 1e-10:
             raise ValueError(f"rows must sum to 1 (max deviation {rowsum_err:.2e})")
+        cdf = np.cumsum(P, axis=1)
+        cdf[:, -1] = 1.0
+        P.flags.writeable = cdf.flags.writeable = False
         self.matrix = P
-        self._cdf = np.cumsum(P, axis=1)
-        self._cdf[:, -1] = 1.0
+        self._cdf = cdf
         self._stationary = None
 
     def state_space_size(self) -> int:
@@ -374,7 +390,9 @@ class DenseMatrixChain:
             pi, *_ = np.linalg.lstsq(A, b, rcond=None)
             if pi.min() <= 0.0:
                 raise ValueError("stationary distribution is not strictly positive")
-            self._stationary = pi / pi.sum()
+            pi /= pi.sum()
+            pi.flags.writeable = False
+            self._stationary = pi
         return self._stationary
 
     def transition_matrix(self) -> np.ndarray:
@@ -588,7 +606,7 @@ def load_matrix_chain(path) -> DenseMatrixChain:
         for extra, line in enumerate(fh, n + 2):
             if line.strip():
                 raise ValueError(f"line {extra}: expected only blank lines after the {n} rows")
-    return DenseMatrixChain(np.array(rows))
+    return DenseMatrixChain(rows)
 
 
 def save_matrix_chain(chain: DenseMatrixChain, path) -> None:

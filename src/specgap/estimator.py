@@ -346,6 +346,11 @@ def theory_diagnostics(spectrum, cfg: UcpiConfig) -> TheoryDiagnostics:
     The spectrum must be finite and sorted descending, with leading
     eigenvalue 1 and all eigenvalues in [0, 1] (lazy reversible chain).
     m_k is computed exactly as the k-th moment mean of the spectrum.
+
+    The result is a loose envelope, not a prediction of a run.  On
+    ``BiasedLineChain(20, 0.7)`` with 60 seeds per budget, ``k_star`` was
+    23 and 37 at n = 1e5 and 1e6, against a median observed ``argmin_k``
+    of 79 and 57.5, and ``total`` was 4-7 times the observed error.
     """
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or len(lam) != cfg.state_space_size:

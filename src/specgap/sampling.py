@@ -76,16 +76,17 @@ Forked children.  Both uses above run through one runner,
   context, inherits the job's arguments rather than receiving them
   pickled, so oracles need not be picklable.  Each child has its own
   pipe, and the parent closes its copy of the write end.
-- Send: the child writes each array its job yields (a collection child's
-  rows, the reader's chunks) as an int64 item count followed by the
-  items, then ``-1 - len(failure)`` and the pickled exception the job
-  raised, if any (an empty failure when it ended cleanly); an exception
-  that does not survive pickling is sent as a ``RuntimeError`` naming its
-  type.  A lone child buffers ``_PIPE_BATCH`` bytes a write.  Children
-  that take turns flush each array through the same buffered writer as
-  soon as it is written, because the parent waits for it before it reads
-  the others, and so that a child that dies has sent every array it
-  wrote.
+- Send: the child ignores SIGINT, so a Ctrl-C to the process group
+  interrupts the parent alone, whose stop ends the children.  It writes
+  each array its job yields (a collection child's rows, the reader's
+  chunks) as an int64 item count followed by the items, then
+  ``-1 - len(failure)`` and the pickled exception the job raised, if any
+  (an empty failure when it ended cleanly); an exception that does not
+  survive pickling is sent as a ``RuntimeError`` naming its type.  A
+  lone child buffers ``_PIPE_BATCH`` bytes a write.  Children that take
+  turns flush each array through the same buffered writer as soon as it
+  is written, because the parent waits for it before it reads the
+  others, and so that a child that dies has sent every array it wrote.
 - Receive: the parent reads one array from each child in turn, each into
   a buffer of exactly its size, and ends at the first child whose stream
   ends, raising that child's failure, if any; for one child this is
@@ -382,7 +383,12 @@ def _send(w, produce, job, dtype, turns):
     An array of another dtype fails the job with numpy's ``TypeError``
     rather than reaching the parent as bytes it would misread.  A child
     that takes ``turns`` with others flushes each array as it writes it.
+    The child ignores SIGINT: the parent's stop terminates it, and an
+    interrupt would only print its traceback to the shared stderr.
     """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     with open(w, "wb", buffering=_PIPE_BATCH) as out:
         failure = b""
         try:

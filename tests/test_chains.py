@@ -118,6 +118,12 @@ def test_spectrum_rejects_non_reversible_chain():
         exact_spectrum(cycle3)
 
 
+def test_spectrum_of_the_doubled_two_cycle():
+    # Each state lists the other twice: the matrix used to add 1/4 once, and refused the chain.
+    lam = exact_spectrum(RegularGraphChain(2, 2, [[1, 1], [0, 0]]))
+    assert lam.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
 def test_spectrum_sorted_descending():
     lam = exact_spectrum(BiasedLineChain(20, 0.7))
     assert np.all(np.diff(lam) <= 1e-12)
@@ -315,7 +321,7 @@ def test_graph_kernel_equals_its_scalar_rule(size, degree, order, seed):
     table = np.random.default_rng(seed).integers(0, size, (size, degree))
     chain = RegularGraphChain(size, degree, np.asarray(table, order=order))
     xs, us = kernel_inputs(size, [0.5 + i / (2.0 * degree) for i in range(1, degree)], seed)
-    # u = 1.0 is past every draw, where next_state clamps to the last neighbour.
+    # u = 1.0 is past every draw; it lands in column 2d, which repeats the last neighbour.
     xs = np.concatenate([xs, np.arange(size)])
     us = np.concatenate([us, np.ones((size, 1))])
     assert_kernel_is_its_scalar_rule(chain, xs, us)
@@ -337,6 +343,22 @@ def test_graph_neighbors_are_read_only_and_replace_rebuilds_the_table():
         with pytest.raises(ValueError, match="read-only"):
             twin.neighbors[0, 0] = 0
         assert twin.step_with_uniforms(xs, us).tolist() == [2, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "neighbors",
+    [[[1, 1], [0, 2], [1, 0]], [[1, 1], [0, 0]], [[1, 1, 1], [0, 0, 0]], [[0, 1], [1, 1]]],
+    ids=["repeat", "doubled-2-cycle", "tripled", "self-loops"],
+)
+def test_graph_matrix_rows_are_the_kernel_law(neighbors):
+    # One uniform in the middle of each of the 2d columns' intervals hits each column once.
+    size, d = len(neighbors), len(neighbors[0])
+    chain = RegularGraphChain(size, d, neighbors)
+    us = ((np.arange(2 * d) + 0.5) / (2 * d)).reshape(-1, 1)
+    P = chain.transition_matrix()
+    for x in range(size):
+        ys = chain.step_with_uniforms(np.full(2 * d, x, dtype=np.int64), us)
+        assert P[x].tolist() == (np.bincount(ys, minlength=size) / (2 * d)).tolist()
 
 
 @pytest.mark.parametrize(
@@ -412,6 +434,26 @@ def test_tabular_sampler_validation():
         TabularSampler([math.nan, -0.5, 1.5])  # NaN hides the negative entry and the sum
     with pytest.raises(ValueError, match="finite"):
         TabularSampler([math.inf, 0.5, 0.5])
+
+
+def test_dense_chain_and_tabular_sampler_own_a_read_only_law():
+    matrix, probabilities = np.array(TWO_STATE), np.array([0.25, 0.75])
+    chain, sampler = DenseMatrixChain(matrix), TabularSampler(probabilities)
+    matrix[:] = [[0.25, 0.75], [0.75, 0.25]]
+    probabilities[:] = [0.75, 0.25]
+    assert chain.transition_matrix().tolist() == TWO_STATE
+    us = [0.7, 0.8, 0.2, 0.3]
+    xs = np.array([0, 0, 1, 1])
+    assert [chain.next_state(x, FixedDraw(u)) for x, u in zip(xs, us)] == [0, 1, 0, 1]
+    assert chain.step_with_uniforms(xs, np.array(us).reshape(-1, 1)).tolist() == [0, 1, 0, 1]
+    assert (sampler.pmf(0), sampler.pmf(1), sampler.min_pmf()) == (0.25, 0.75, 0.25)
+    assert [sampler.sample(FixedDraw(u)) for u in (0.2, 0.3)] == [0, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        chain.transition_matrix()[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        sampler.probabilities[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        chain.stationary_distribution()[0] = 0.5  # its cached copy feeds exact_spectrum
 
 
 # ---------------------------------------------------------------------------

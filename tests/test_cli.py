@@ -642,6 +642,24 @@ def test_run_golden_graph_report(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GRAPH_REPORTS[fmt]
 
 
+GRAPH_USP_ARGV = ["run", "--chain", "regular", "--size", "20", "--d", "4", "--model", "usp",
+                  "--n", "500000", "--no-timing"]
+
+# The same for one trajectory simulated by trajectory_from_oracle, which
+# steps the graph chain's scalar next_state: its bound is 0.962.
+GOLDEN_GRAPH_USP_REPORTS = {
+    "table": "92bbfab5db27bc5e9f1186035192088123bebc84b3e5c2635be65d8968415459",
+    "json": "337b929751298b4a47c9d72927dc0a3d7dbe19b18e4ea17383abc8f58218e9b0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_GRAPH_USP_REPORTS))
+def test_run_golden_graph_usp_report(capsys, fmt):
+    code, out, err = run_cli(capsys, GRAPH_USP_ARGV + ["--format", fmt])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GRAPH_USP_REPORTS[fmt]
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the single-trajectory model, pinned byte for byte
 # ---------------------------------------------------------------------------

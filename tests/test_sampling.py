@@ -802,6 +802,23 @@ def test_child_array_of_another_dtype_raises_instead_of_being_misread():
     assert multiprocessing.active_children() == []
 
 
+def interrupt_self_then_yield(parent):
+    if os.getpid() != parent:  # never interrupt the test process itself
+        os.kill(os.getpid(), signal.SIGINT)
+    yield np.arange(3)
+
+
+def test_child_ignores_an_interrupt_and_stays_silent(capfd):
+    # A Ctrl-C reaches the whole process group; the parent's stop ends the
+    # children.  A child that took it used to die writing a traceback.
+    died = "child exited with code {} before ending its stream"
+    jobs = [(os.getpid(),)]
+    stream = sampling._in_children(sampling._fork_context(), interrupt_self_then_yield, jobs, np.int64, died)
+    assert [array.tolist() for array in stream] == [[0, 1, 2]]
+    assert capfd.readouterr().err == ""
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("seed", [2.5, 2.9, True, "2", None, np.float64(2.0)])
 def test_master_seed_must_be_an_integer(seed):
     # A float seed used to be truncated: 2.5 and 2.9 both ran seed 2's paths.
